@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .bench import bench_activation, compare, save_bench_csv
 from .dataio import gen_synthetic_phases, load_phase_csv, save_phase_csv
-from .errors import ActkitError
+from .errors import ActkitError, ConfigError
 from .experiments import emit_report, load_config, run_experiment, run_grid
 from .kernels import ActivationKind, max_approx_error
 from .modelspec import GroupSelector, list_sites, preset
@@ -25,7 +25,10 @@ def _parse_kinds(text: str) -> list[ActivationKind]:
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _report_format(path: str) -> str:

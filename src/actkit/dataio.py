@@ -52,7 +52,7 @@ class PhaseSequence:
         if (self.probs < 0).any():
             raise DomainError("probabilities must be nonnegative")
         sums = self.probs.sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-5:
+        if not (np.abs(sums - 1.0).max() <= 1e-5):  # also rejects NaN
             raise DomainError("probability rows must sum to 1 within 1e-5")
         c = self.probs.shape[1]
         if self.truth.min() < 0 or self.truth.max() >= c:
@@ -217,7 +217,7 @@ def load_phase_csv(path: str | Path) -> PhaseSequence:
         except ValueError as exc:
             raise FormatError(f"{path}: row {i}: {exc}") from None
         total = probs[i].sum()
-        if abs(total - 1.0) > PHASE_ROW_SUM_TOL:
+        if not (abs(total - 1.0) <= PHASE_ROW_SUM_TOL):  # also rejects NaN
             raise FormatError(f"{path}: row {i} sums to {total:.6f}, outside 1 +/- {PHASE_ROW_SUM_TOL}")
         probs[i] /= total
     return PhaseSequence(probs, truth)

@@ -11,13 +11,13 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import ImageDataset, gen_synthetic_images, load_cifar10_binary, subset
-from .errors import ConfigError, DomainError
+from .errors import ActkitError, ConfigError, DomainError, FormatError
 from .kernels import ActivationKind
 from .modelspec import (
     GroupSelector,
@@ -247,28 +247,9 @@ def report_to_json(report: ExperimentReport) -> dict:
         "label": report.label,
         "preset": report.preset,
         "spec_fingerprint": report.spec_fingerprint,
-        "hyperparams": {
-            "lr": report.hyperparams.lr,
-            "momentum": report.hyperparams.momentum,
-            "batch_size": report.hyperparams.batch_size,
-            "epochs": report.hyperparams.epochs,
-        },
-        "dataset": {
-            "source": report.dataset.source,
-            "train_size": report.dataset.train_size,
-            "test_size": report.dataset.test_size,
-            "data_dir": report.dataset.data_dir,
-            "subset_seed": report.dataset.subset_seed,
-        },
-        "runs": [
-            {
-                "seed": r.seed,
-                "test_accuracy": r.test_accuracy,
-                "train_seconds": r.train_seconds,
-                "init_param_hash": r.init_param_hash,
-            }
-            for r in report.runs
-        ],
+        "hyperparams": asdict(report.hyperparams),
+        "dataset": asdict(report.dataset),
+        "runs": [asdict(r) for r in report.runs],
         "mean_accuracy": report.mean_accuracy,
         "mean_train_seconds": report.mean_train_seconds,
     }
@@ -279,10 +260,7 @@ def report_from_json(doc: dict) -> ExperimentReport:
         return ExperimentReport(
             label=doc["label"],
             preset=doc["preset"],
-            runs=tuple(
-                SeedRun(r["seed"], r["test_accuracy"], r["train_seconds"], r["init_param_hash"])
-                for r in doc["runs"]
-            ),
+            runs=tuple(SeedRun(**r) for r in doc["runs"]),
             mean_accuracy=doc["mean_accuracy"],
             mean_train_seconds=doc["mean_train_seconds"],
             hyperparams=Hyperparams(**doc["hyperparams"]),
@@ -340,19 +318,8 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
             }
             for step in cfg.surgery
         ],
-        "dataset": {
-            "source": cfg.dataset.source,
-            "train_size": cfg.dataset.train_size,
-            "test_size": cfg.dataset.test_size,
-            "data_dir": cfg.dataset.data_dir,
-            "subset_seed": cfg.dataset.subset_seed,
-        },
-        "hyperparams": {
-            "lr": cfg.hyperparams.lr,
-            "momentum": cfg.hyperparams.momentum,
-            "batch_size": cfg.hyperparams.batch_size,
-            "epochs": cfg.hyperparams.epochs,
-        },
+        "dataset": asdict(cfg.dataset),
+        "hyperparams": asdict(cfg.hyperparams),
         "seeds": list(cfg.seeds),
     }
 
@@ -375,10 +342,16 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             hyperparams=Hyperparams(**doc.get("hyperparams", {})),
             seeds=tuple(doc.get("seeds", (1, 2))),
         )
-    except (KeyError, TypeError) as exc:
+    except ActkitError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed experiment config: {exc!r}") from None
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     with open(path) as fh:
-        return config_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    return config_from_json(doc)

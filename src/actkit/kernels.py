@@ -65,7 +65,8 @@ def _hardswish32(x):
     return x * np.clip((x + np.float32(3.0)) / np.float32(6.0), np.float32(0.0), np.float32(1.0))
 
 
-_FORWARD32 = {
+# The float32 constants never narrow a float64 input, so max_approx_error runs these in 64-bit.
+_FORWARD = {
     ActivationKind.RELU: _relu32,
     ActivationKind.RELU6: _relu6_32,
     ActivationKind.SIGMOID: _sigmoid32,
@@ -109,25 +110,11 @@ _DERIV32 = {
 }
 
 
-def _sigmoid64(x: np.ndarray) -> np.ndarray:
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-_FORWARD64 = {
-    ActivationKind.RELU: lambda x: np.maximum(x, 0.0),
-    ActivationKind.RELU6: lambda x: np.minimum(np.maximum(x, 0.0), 6.0),
-    ActivationKind.SIGMOID: _sigmoid64,
-    ActivationKind.SWISH: lambda x: x * _sigmoid64(x),
-    ActivationKind.HARDSWISH: lambda x: x * np.clip((x + 3.0) / 6.0, 0.0, 1.0),
-}
-
-
 def activate(kind: ActivationKind, x: float) -> float:
     """Evaluate one activation at a single point, in 32-bit arithmetic."""
     if not math.isfinite(x):
         raise DomainError(f"activation input must be finite, got {x!r}")
-    return float(_FORWARD32[kind](np.float32(x)))
+    return float(_FORWARD[kind](np.float32(x)))
 
 
 def activate_derivative(kind: ActivationKind, x: float) -> float:
@@ -146,7 +133,7 @@ def activate_batch(kind: ActivationKind, xs: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(xs, dtype=np.float32)
     if not np.isfinite(arr).all():
         raise DomainError(f"activation batch contains non-finite elements ({kind.value})")
-    return np.ascontiguousarray(_FORWARD32[kind](arr))
+    return np.ascontiguousarray(_FORWARD[kind](arr))
 
 
 def activate_batch_backward(kind: ActivationKind, xs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -177,6 +164,6 @@ def max_approx_error(
         raise DomainError(f"empty grid: lo={lo} must be below hi={hi}")
     n = int(math.floor((hi - lo) / step + 1e-12)) + 1
     xs = lo + np.arange(n, dtype=np.float64) * step
-    gap = np.abs(_FORWARD64[a](xs) - _FORWARD64[b](xs))
+    gap = np.abs(_FORWARD[a](xs) - _FORWARD[b](xs))
     i = int(np.argmax(gap))
     return float(xs[i]), float(gap[i])

@@ -83,33 +83,23 @@ class ModelSpec:
         return self.stages[0][0].channels
 
 
+@dataclass(frozen=True)
 class GroupSelector:
     """Addresses a set of activation sites: a named layer group, a band, or one site."""
 
+    scope: str
+    band: str | None = None
+    site_id: str | None = None
+
     _SCOPES = ("initial", "middle", "last", "all", "band", "site")
 
-    def __init__(self, scope: str, band: str | None = None, site_id: str | None = None):
-        if scope not in self._SCOPES:
-            raise ConfigError(f"unknown selector scope {scope!r}")
-        if scope == "band" and band not in (BAND_A, BAND_B):
-            raise ConfigError(f"band selector needs band 'A' or 'B', got {band!r}")
-        if scope == "site" and not site_id:
+    def __post_init__(self) -> None:
+        if self.scope not in self._SCOPES:
+            raise ConfigError(f"unknown selector scope {self.scope!r}")
+        if self.scope == "band" and self.band not in (BAND_A, BAND_B):
+            raise ConfigError(f"band selector needs band 'A' or 'B', got {self.band!r}")
+        if self.scope == "site" and not self.site_id:
             raise ConfigError("site selector needs a site id")
-        self.scope = scope
-        self.band = band
-        self.site_id = site_id
-
-    def __repr__(self) -> str:
-        return f"GroupSelector({self.as_string()!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupSelector)
-            and (self.scope, self.band, self.site_id) == (other.scope, other.band, other.site_id)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.scope, self.band, self.site_id))
 
     def as_string(self) -> str:
         if self.scope == "band":
@@ -125,7 +115,7 @@ class GroupSelector:
             return cls(t)
         if t.startswith("band:"):
             return cls("band", band=t.split(":", 1)[1].strip().upper())
-        if text.strip().lower().startswith("site:"):
+        if t.startswith("site:"):
             return cls("site", site_id=text.strip().split(":", 1)[1].strip())
         raise ConfigError(f"cannot parse selector {text!r}")
 
@@ -183,13 +173,19 @@ def preset(name: str, blocks_per_stage: tuple[int, int, int, int] = (1, 1, 1, 1)
     return ModelSpec(preset_name=name, stem_act=ActivationKind.RELU, stages=tuple(stages))
 
 
+def _blocks(spec: ModelSpec):
+    """Yield (1-based stage, "stage{k}.block{j}" prefix, BlockSpec) for every block, in order."""
+    for k, stage in enumerate(spec.stages, start=1):
+        for j, blk in enumerate(stage, start=1):
+            yield k, f"stage{k}.block{j}", blk
+
+
 def list_sites(spec: ModelSpec) -> list[ActivationSite]:
     """All sites in stable order: stem first, then stages and blocks in index order."""
     sites = [ActivationSite("stem.act", spec.stem_act, None)]
-    for k, stage in enumerate(spec.stages, start=1):
-        for j, blk in enumerate(stage, start=1):
-            sites.append(ActivationSite(f"stage{k}.block{j}.act_a", blk.act_a, BAND_A))
-            sites.append(ActivationSite(f"stage{k}.block{j}.act_b", blk.act_b, BAND_B))
+    for _, prefix, blk in _blocks(spec):
+        sites.append(ActivationSite(f"{prefix}.act_a", blk.act_a, BAND_A))
+        sites.append(ActivationSite(f"{prefix}.act_b", blk.act_b, BAND_B))
     return sites
 
 
@@ -202,33 +198,21 @@ def replace_activations(
     """Set kind=to_kind at every site the selector matches whose kind equals from_kind
     (from_kind=None matches any). Returns the new spec and the changed-site count;
     a site already at to_kind that matches still counts as changed."""
-    if selector.scope == "site":
-        known = {s.site_id for s in list_sites(spec)}
-        if selector.site_id not in known:
-            raise ConfigError(f"no such activation site: {selector.site_id!r}")
-
-    def hit(site_id: str, band: str | None, stage: int | None, kind: ActivationKind) -> bool:
-        return selector.matches(site_id, band, stage) and (from_kind is None or kind == from_kind)
-
-    count = 0
-    stem_act = spec.stem_act
-    if hit("stem.act", None, None, spec.stem_act):
-        stem_act = to_kind
-        count += 1
-    new_stages = []
-    for k, stage in enumerate(spec.stages, start=1):
-        new_blocks = []
-        for j, blk in enumerate(stage, start=1):
-            act_a, act_b = blk.act_a, blk.act_b
-            if hit(f"stage{k}.block{j}.act_a", BAND_A, k, blk.act_a):
-                act_a = to_kind
-                count += 1
-            if hit(f"stage{k}.block{j}.act_b", BAND_B, k, blk.act_b):
-                act_b = to_kind
-                count += 1
-            new_blocks.append(replace(blk, act_a=act_a, act_b=act_b))
-        new_stages.append(tuple(new_blocks))
-    return replace(spec, stem_act=stem_act, stages=tuple(new_stages)), count
+    sites = list_sites(spec)
+    if selector.scope == "site" and selector.site_id not in {s.site_id for s in sites}:
+        raise ConfigError(f"no such activation site: {selector.site_id!r}")
+    site_stages = [None] + [k for k, _, _ in _blocks(spec) for _band in (BAND_A, BAND_B)]
+    hits = [
+        selector.matches(s.site_id, s.band, k) and from_kind in (None, s.kind)
+        for s, k in zip(sites, site_stages)
+    ]
+    kinds = (to_kind if hit else s.kind for s, hit in zip(sites, hits))
+    stem_act = next(kinds)
+    stages = tuple(
+        tuple(replace(blk, act_a=next(kinds), act_b=next(kinds)) for blk in stage)
+        for stage in spec.stages
+    )
+    return replace(spec, stem_act=stem_act, stages=stages), sum(hits)
 
 
 def to_json(spec: ModelSpec) -> dict:
@@ -285,27 +269,17 @@ def fingerprint(spec: ModelSpec) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass(frozen=True)
-class _BlockPlan:
-    prefix: str
-    stride: int
-    act_a: ActivationKind
-    act_b: ActivationKind
-    has_proj: bool
-
-
 class Model:
-    """Parameter tensors plus the execution plan derived from one ModelSpec.
+    """Parameter tensors for one ModelSpec.
 
     Parameters live in an insertion-ordered dict; the allocation order (stem, stages
     in order, head) is independent of activation kinds, so two specs differing only
     in kinds yield bit-identical initial weights for the same seed.
     """
 
-    def __init__(self, spec: ModelSpec, params: dict[str, np.ndarray], plans: list[_BlockPlan]):
+    def __init__(self, spec: ModelSpec, params: dict[str, np.ndarray]):
         self.spec = spec
         self.params = params
-        self._plans = plans
 
     def param_list(self) -> list[np.ndarray]:
         return list(self.params.values())
@@ -318,60 +292,51 @@ class Model:
 
 
 def build_model(spec: ModelSpec, rng: Rng) -> Model:
-    """Allocate He-uniform weights (zero biases) for the spec, in fixed order."""
+    """Allocate He-uniform weights (zero biases) for the spec, in fixed order. A block
+    gets a 1x1 skip projection ("{prefix}.proj") iff it changes stride or width."""
     params: dict[str, np.ndarray] = {}
-    plans: list[_BlockPlan] = []
 
     def alloc_conv(name: str, out_ch: int, in_ch: int, k: int) -> None:
         params[f"{name}.w"] = he_init((out_ch, in_ch, k, k), fan_in=in_ch * k * k, rng=rng)
         params[f"{name}.b"] = np.zeros(out_ch, dtype=np.float32)
 
-    in_ch = 3
-    alloc_conv("stem", spec.stem_channels, in_ch, 3)
+    alloc_conv("stem", spec.stem_channels, 3, 3)
     in_ch = spec.stem_channels
-    for k, stage in enumerate(spec.stages, start=1):
-        for j, blk in enumerate(stage, start=1):
-            prefix = f"stage{k}.block{j}"
-            alloc_conv(f"{prefix}.conv1", blk.channels, in_ch, 3)
-            alloc_conv(f"{prefix}.conv2", blk.channels, blk.channels, 3)
-            has_proj = blk.stride != 1 or blk.channels != in_ch
-            if has_proj:
-                alloc_conv(f"{prefix}.proj", blk.channels, in_ch, 1)
-            plans.append(_BlockPlan(prefix, blk.stride, blk.act_a, blk.act_b, has_proj))
-            in_ch = blk.channels
+    for _, prefix, blk in _blocks(spec):
+        alloc_conv(f"{prefix}.conv1", blk.channels, in_ch, 3)
+        alloc_conv(f"{prefix}.conv2", blk.channels, blk.channels, 3)
+        if blk.stride != 1 or blk.channels != in_ch:
+            alloc_conv(f"{prefix}.proj", blk.channels, in_ch, 1)
+        in_ch = blk.channels
     params["head.w"] = he_init((in_ch, spec.num_classes), fan_in=in_ch, rng=rng)
     params["head.b"] = np.zeros(spec.num_classes, dtype=np.float32)
-    return Model(spec, params, plans)
+    return Model(spec, params)
 
 
 def _forward_internal(model: Model, batch: np.ndarray, record: bool):
+    """Logits plus what backward reads: the stem pre-activation and one (prefix, blk, x_in,
+    z1, a1, s) record per block (None and [] unless record), pooled features, pre-pool shape."""
     p = model.params
-    tape = [] if record else None
-
-    z = conv2d_forward(batch, p["stem.w"], p["stem.b"], stride=1)
-    cur = activate_batch(model.spec.stem_act, z)
-    if record:
-        tape.append(("stem", batch, z))
-
-    for plan in model._plans:
+    z_stem = conv2d_forward(batch, p["stem.w"], p["stem.b"], stride=1)
+    cur = activate_batch(model.spec.stem_act, z_stem)
+    if not record:
+        z_stem = None
+    blocks = []
+    for _, prefix, blk in _blocks(model.spec):
         x_in = cur
-        z1 = conv2d_forward(x_in, p[f"{plan.prefix}.conv1.w"], p[f"{plan.prefix}.conv1.b"], plan.stride)
-        a1 = activate_batch(plan.act_a, z1)
-        z2 = conv2d_forward(a1, p[f"{plan.prefix}.conv2.w"], p[f"{plan.prefix}.conv2.b"], stride=1)
-        if plan.has_proj:
-            skip = conv2d_forward(x_in, p[f"{plan.prefix}.proj.w"], p[f"{plan.prefix}.proj.b"], plan.stride)
-        else:
-            skip = x_in
-        s = z2 + skip
-        cur = activate_batch(plan.act_b, s)
+        z1 = conv2d_forward(x_in, p[f"{prefix}.conv1.w"], p[f"{prefix}.conv1.b"], blk.stride)
+        a1 = activate_batch(blk.act_a, z1)
+        s = conv2d_forward(a1, p[f"{prefix}.conv2.w"], p[f"{prefix}.conv2.b"], stride=1) + (
+            conv2d_forward(x_in, p[f"{prefix}.proj.w"], p[f"{prefix}.proj.b"], blk.stride)
+            if f"{prefix}.proj.w" in p
+            else x_in
+        )
+        cur = activate_batch(blk.act_b, s)
         if record:
-            tape.append(("block", plan, x_in, z1, a1, s))
-
+            blocks.append((prefix, blk, x_in, z1, a1, s))
     feats = global_avg_pool(cur)
     logits = dense_forward(feats, p["head.w"], p["head.b"])
-    if record:
-        tape.append(("head", cur.shape, feats))
-    return logits, tape
+    return logits, (z_stem, blocks, feats, cur.shape)
 
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
@@ -384,39 +349,23 @@ def loss_and_gradients(
     model: Model, batch: np.ndarray, labels: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy loss and exact parameter gradients for one batch."""
-    logits, tape = _forward_internal(model, batch, record=True)
+    logits, (z_stem, blocks, feats, last_shape) = _forward_internal(model, batch, record=True)
     loss, g_logits = softmax_cross_entropy(logits, labels)
     p = model.params
     grads: dict[str, np.ndarray] = {}
 
-    _tag, last_shape, feats = tape[-1]
+    def conv_back(name: str, x: np.ndarray, upstream: np.ndarray, stride: int) -> np.ndarray:
+        gx, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(x, p[f"{name}.w"], upstream, stride)
+        return gx
+
     g_feats, grads["head.w"], grads["head.b"] = dense_backward(feats, p["head.w"], g_logits)
     g_cur = global_avg_pool_backward(g_feats, last_shape[2], last_shape[3])
-
-    for entry in reversed(tape[:-1]):
-        if entry[0] == "block":
-            _, plan, x_in, z1, a1, s = entry
-            gs = activate_batch_backward(plan.act_b, s, g_cur)
-            ga1, gw2, gb2 = conv2d_backward(a1, p[f"{plan.prefix}.conv2.w"], gs, stride=1)
-            grads[f"{plan.prefix}.conv2.w"] = gw2
-            grads[f"{plan.prefix}.conv2.b"] = gb2
-            gz1 = activate_batch_backward(plan.act_a, z1, ga1)
-            gx, gw1, gb1 = conv2d_backward(x_in, p[f"{plan.prefix}.conv1.w"], gz1, plan.stride)
-            grads[f"{plan.prefix}.conv1.w"] = gw1
-            grads[f"{plan.prefix}.conv1.b"] = gb1
-            if plan.has_proj:
-                gx_skip, gwp, gbp = conv2d_backward(x_in, p[f"{plan.prefix}.proj.w"], gs, plan.stride)
-                grads[f"{plan.prefix}.proj.w"] = gwp
-                grads[f"{plan.prefix}.proj.b"] = gbp
-                g_cur = gx + gx_skip
-            else:
-                g_cur = gx + gs
-        else:
-            _, batch_in, z = entry
-            gz = activate_batch_backward(model.spec.stem_act, z, g_cur)
-            _, gw, gb = conv2d_backward(batch_in, p["stem.w"], gz, stride=1)
-            grads["stem.w"] = gw
-            grads["stem.b"] = gb
-
-    ordered = {name: grads[name] for name in model.params}
-    return loss, ordered
+    for prefix, blk, x_in, z1, a1, s in reversed(blocks):
+        gs = activate_batch_backward(blk.act_b, s, g_cur)
+        gz1 = activate_batch_backward(blk.act_a, z1, conv_back(f"{prefix}.conv2", a1, gs, 1))
+        gx = conv_back(f"{prefix}.conv1", x_in, gz1, blk.stride)
+        if f"{prefix}.proj.w" in p:
+            gs = conv_back(f"{prefix}.proj", x_in, gs, blk.stride)
+        g_cur = gx + gs
+    conv_back("stem", batch, activate_batch_backward(model.spec.stem_act, z_stem, g_cur), 1)
+    return loss, {name: grads[name] for name in model.params}

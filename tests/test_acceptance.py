@@ -288,26 +288,36 @@ def test_criterion_5_protocol_fidelity():
 
 def test_criterion_6_sma_behavior():
     with criterion(6, "smoothing curve peaks then declines; w=1 identity; oracle agreement; < 10 s"):
-        start = time.perf_counter()
-        seq = gen_synthetic_phases(
-            num_phases=10, segment_len=200, frames=2000, noise=0.25, confusion_spread=0.1, seed=7
+        # the bound times actkit's calls only, not the pure-Python oracle below
+        actkit_seconds = 0.0
+
+        def timed(fn, *args, **kwargs):
+            nonlocal actkit_seconds
+            start = time.perf_counter()
+            out = fn(*args, **kwargs)
+            actkit_seconds += time.perf_counter() - start
+            return out
+
+        seq = timed(
+            gen_synthetic_phases,
+            num_phases=10, segment_len=200, frames=2000, noise=0.25, confusion_spread=0.1, seed=7,
         )
 
         def acc(w: int) -> float:
-            return frame_accuracy(argmax_decode(sma(seq.probs, w)), seq.truth)
+            return timed(frame_accuracy, timed(argmax_decode, timed(sma, seq.probs, w)), seq.truth)
 
         a1, a32, a2048 = acc(1), acc(32), acc(2048)
         assert a32 > a1, f"acc(32)={a32:.4f} <= acc(1)={a1:.4f}"
         assert a2048 < a32, f"acc(2048)={a2048:.4f} >= acc(32)={a32:.4f}"
 
-        assert np.array_equal(sma(seq.probs, 1), seq.probs)
+        assert np.array_equal(timed(sma, seq.probs, 1), seq.probs)
 
         rs = np.random.RandomState(99)
         worst = 0.0
         for t_len in range(1, 201):
             probs = rs.uniform(0, 1, (t_len, 3))
             for w in range(1, 65):
-                got = sma(probs, w)
+                got = timed(sma, probs, w)
                 want = np.zeros((t_len, 3))
                 for t in range(t_len):  # the definition, straight off the page
                     lo = max(0, t - w // 2)
@@ -315,8 +325,7 @@ def test_criterion_6_sma_behavior():
                     want[t] = probs[lo : hi + 1].mean(axis=0)
                 worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < 1e-6, f"worst oracle deviation {worst}"
-        elapsed = time.perf_counter() - start
-        assert elapsed < 10.0, f"took {elapsed:.2f} s"
+        assert actkit_seconds < 10.0, f"actkit calls took {actkit_seconds:.2f} s"
 
 
 def test_criterion_7_efficiency_expectation():

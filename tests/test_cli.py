@@ -158,3 +158,31 @@ class TestTrainAndGrid:
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc != 0
         assert "ConfigError" in capsys.readouterr().err
+
+    TRAIN = ["train", "--config", "{cfg}", "--out", "{out}"]
+
+    @pytest.mark.parametrize(
+        "argv, config, error",
+        [
+            (["smooth", "--in", "{csv}", "--windows", "1,x", "--out", "{out}"], None, "ConfigError"),
+            (["sites", "--preset", "mini-x3d", "--blocks", "1,a"], None, "ConfigError"),
+            (TRAIN, b"{not json", "FormatError"),
+            (TRAIN, b"\xff\xfe{}", "FormatError"),
+            (TRAIN, {"seeds": ["a"]}, "ConfigError"),
+            (TRAIN, {"surgery": [{"selector": "all", "to": 5}]}, "ConfigError"),
+            (TRAIN, [], "ConfigError"),
+        ],
+        ids=["windows", "blocks", "not-json", "not-utf8", "seed-not-int", "kind-not-str", "top-level-list"],
+    )
+    def test_bad_input_fails_typed(self, argv, config, error, config_json, phase_csv, tmp_path, capsys):
+        if isinstance(config, dict):
+            config = json.dumps({**json.loads(config_json.read_text()), **config}).encode()
+        elif isinstance(config, list):
+            config = json.dumps(config).encode()
+        if config is not None:
+            config_json.write_bytes(config)
+        paths = {"csv": phase_csv, "cfg": config_json, "out": tmp_path / "out.json"}
+        rc = main([arg.format(**paths) for arg in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{error}: ") and err.count("\n") == 1, err

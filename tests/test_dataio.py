@@ -255,6 +255,12 @@ class TestPhaseCsv:
         with pytest.raises(FormatError):
             load_phase_csv(path)
 
+    def test_nan_row_rejected(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("frame,truth,p0,p1\n0,0,0.5,0.5\n1,0,nan,0.5\n")
+        with pytest.raises(FormatError, match="row 1 "):
+            load_phase_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("frame,label,p0,p1\n0,0,0.5,0.5\n")
@@ -301,3 +307,9 @@ class TestDatasetTypes:
         probs = np.full((4, 5), 0.3)
         with pytest.raises(Exception):
             PhaseSequence(probs, np.zeros(4, dtype=np.int64))
+
+    def test_phase_rows_with_nan_rejected(self):
+        probs = np.full((2, 2), 0.5)
+        probs[1, 0] = np.nan
+        with pytest.raises(DomainError):
+            PhaseSequence(probs, np.zeros(2, dtype=np.int64))

@@ -33,7 +33,7 @@ from actkit import (
     run_grid,
     site_selector,
 )
-from actkit.experiments import report_from_json, report_to_json
+from actkit.experiments import ExperimentReport, SeedRun, report_from_json, report_to_json
 
 HS = ActivationKind.HARDSWISH
 
@@ -242,6 +242,39 @@ class TestSerialization:
         docs = json.loads(path.read_text())
         assert len(docs) == 1
         assert report_from_json(docs[0]) == report
+
+    def test_emitted_json_key_order(self, tmp_path):
+        cfg = tiny_config()
+        report = ExperimentReport(
+            label="tiny",
+            preset="mini-resnet",
+            runs=(SeedRun(1, 0.5, 1.25, "ab"),),
+            mean_accuracy=0.5,
+            mean_train_seconds=1.25,
+            hyperparams=cfg.hyperparams,
+            dataset=cfg.dataset,
+            spec_fingerprint="cd",
+        )
+        path = tmp_path / "report.json"
+        emit_report([report], path, format="json")
+        doc = json.loads(path.read_text())[0]
+        assert list(doc) == [
+            "label",
+            "preset",
+            "spec_fingerprint",
+            "hyperparams",
+            "dataset",
+            "runs",
+            "mean_accuracy",
+            "mean_train_seconds",
+        ]
+        assert list(doc["hyperparams"]) == ["lr", "momentum", "batch_size", "epochs"]
+        assert list(doc["dataset"]) == ["source", "train_size", "test_size", "data_dir", "subset_seed"]
+        assert list(doc["runs"][0]) == ["seed", "test_accuracy", "train_seconds", "init_param_hash"]
+        cfg_doc = config_to_json(cfg)
+        assert list(cfg_doc) == ["preset", "label", "surgery", "dataset", "hyperparams", "seeds"]
+        assert list(cfg_doc["dataset"]) == list(doc["dataset"])
+        assert list(cfg_doc["hyperparams"]) == list(doc["hyperparams"])
 
     def test_emit_csv_one_row_per_seed(self, tmp_path):
         report = run_experiment(tiny_config(seeds=(1, 2)))
