@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -36,6 +38,10 @@ CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     lr: float = 0.01
@@ -44,10 +50,14 @@ class Hyperparams:
     epochs: int = 5
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("lr", "momentum"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "surgery", tuple(self.surgery))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if not isinstance(self.seeds, (list, tuple)) or not all(_is_int(s) for s in self.seeds):
+            raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
 
@@ -340,7 +352,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             surgery=surgery,
             dataset=DataConfig(**doc["dataset"]),
             hyperparams=Hyperparams(**doc.get("hyperparams", {})),
-            seeds=tuple(doc.get("seeds", (1, 2))),
+            seeds=doc.get("seeds", (1, 2)),
         )
     except ActkitError:
         raise

@@ -94,26 +94,30 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride:
         raise ShapeError(f"bias length {b.shape[0]} != output channels {o}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
-    cols, ho, wo = _im2col(x, k, stride)
-    out = cols @ w.reshape(o, -1).T + b
-    return np.ascontiguousarray(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
+    out = _patches(x.transpose(0, 2, 3, 1), k, stride) @ w.transpose(0, 2, 3, 1).reshape(o, -1).T + b
+    return np.ascontiguousarray(out.reshape(n, -(-h // stride), -(-wid // stride), o).transpose(0, 3, 1, 2))
 
 
-def _im2col(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, int]:
-    """Patch matrix of shape (N*Ho*Wo, C*K*K) for a same-padded strided window."""
-    n, c, h, w = x.shape
+def _patches(x_nhwc: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Patch matrix (N*Ho*Wo, K*K*C) of a same-padded strided window, channels innermost."""
+    n, h, w, c = x_nhwc.shape
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * k * k)
-    return cols, ho, wo
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=REAL)
+    xp[:, pad : pad + h, pad : pad + w] = x_nhwc
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]  # N,Ho,Wo,C,K,K
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, k * k * c)
 
 
 def conv2d_backward(
     x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, stride: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradients of conv2d_forward: (grad_input, grad_weights, grad_bias)."""
+    """Exact gradients of conv2d_forward: (grad_input, grad_weights, grad_bias).
+
+    grad_weights is upstream^T @ patches(x). grad_input needs no scatter: for a
+    same-padded odd-K correlation it is the stride-1 same-padded correlation of the
+    upstream, dilated by the stride (zeros between rows and columns) to H x W, with
+    the kernel rotated 180 degrees and its in/out channels swapped.
+    """
     x = _as_real(x, 4, "conv input")
     w = _as_real(weights, 4, "conv weights")
     up = _as_real(upstream, 4, "conv upstream")
@@ -121,23 +125,19 @@ def conv2d_backward(
     o, i, k, _ = w.shape
     if i != c:
         raise ShapeError(f"weight input channels {i} != input channels {c}")
-    cols, ho, wo = _im2col(x, k, stride)
+    ho, wo = -(-h // stride), -(-wid // stride)
     if up.shape != (n, o, ho, wo):
         raise ShapeError(f"upstream shape {up.shape} != forward output shape {(n, o, ho, wo)}")
 
-    up_mat = np.ascontiguousarray(up.transpose(0, 2, 3, 1)).reshape(n * ho * wo, o)
+    up_nhwc = up.transpose(0, 2, 3, 1)
     grad_b = up.sum(axis=(0, 2, 3))
-    grad_w = (up_mat.T @ cols).reshape(o, c, k, k)
-
-    g_cols = (up_mat @ w.reshape(o, -1)).reshape(n, ho, wo, c, k, k)
-    g_cols = np.ascontiguousarray(g_cols.transpose(0, 3, 4, 5, 1, 2))  # N,C,K,K,Ho,Wo
-    pad = (k - 1) // 2
-    gxp = np.zeros((n, c, h + 2 * pad, wid + 2 * pad), dtype=REAL)
-    for ki in range(k):
-        for kj in range(k):
-            gxp[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += g_cols[:, :, ki, kj]
-    grad_x = np.ascontiguousarray(gxp[:, :, pad : pad + h, pad : pad + wid])
-    return grad_x, np.ascontiguousarray(grad_w), np.ascontiguousarray(grad_b)
+    grad_w = up_nhwc.reshape(-1, o).T @ _patches(x.transpose(0, 2, 3, 1), k, stride)  # patches(x) freed here
+    dilated = np.zeros((n, h, wid, o), dtype=REAL)
+    dilated[:, ::stride, ::stride] = up_nhwc
+    w_flip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * o, c)
+    grad_x = (_patches(dilated, k, 1) @ w_flip).reshape(n, h, wid, c).transpose(0, 3, 1, 2)
+    grad_w = grad_w.reshape(o, k, k, c).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(grad_x), np.ascontiguousarray(grad_w), np.ascontiguousarray(grad_b)
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -171,8 +171,24 @@ class TestTrainAndGrid:
             (TRAIN, {"seeds": ["a"]}, "ConfigError"),
             (TRAIN, {"surgery": [{"selector": "all", "to": 5}]}, "ConfigError"),
             (TRAIN, [], "ConfigError"),
+            (TRAIN, {"seeds": "12"}, "ConfigError"),
+            (TRAIN, {"seeds": [1.7]}, "ConfigError"),
+            (TRAIN, {"hyperparams": {"lr": "x"}}, "ConfigError"),
+            (TRAIN, {"hyperparams": {"epochs": True}}, "ConfigError"),
         ],
-        ids=["windows", "blocks", "not-json", "not-utf8", "seed-not-int", "kind-not-str", "top-level-list"],
+        ids=[
+            "windows",
+            "blocks",
+            "not-json",
+            "not-utf8",
+            "seed-not-int",
+            "kind-not-str",
+            "top-level-list",
+            "seeds-string",
+            "seed-float",
+            "lr-string",
+            "epochs-bool",
+        ],
     )
     def test_bad_input_fails_typed(self, argv, config, error, config_json, phase_csv, tmp_path, capsys):
         if isinstance(config, dict):

@@ -55,9 +55,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(seeds=())
 
+    @pytest.mark.parametrize("seeds", [[True], [1, "2"], 3])
+    def test_seeds_must_be_a_list_of_ints(self, seeds):
+        with pytest.raises(ConfigError):
+            tiny_config(seeds=seeds)
+
     def test_epochs_must_be_positive(self):
         with pytest.raises(ConfigError):
             Hyperparams(epochs=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", "x"),
+            ("lr", float("nan")),
+            ("momentum", True),
+            ("momentum", float("inf")),
+            ("epochs", True),
+            ("epochs", 1.0),
+            ("batch_size", "32"),
+            ("batch_size", False),
+        ],
+    )
+    def test_hyperparam_types_checked(self, field, value):
+        with pytest.raises(ConfigError):
+            Hyperparams(**{field: value})
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,8 +1,15 @@
 """Model specification tests: presets, site listing, selector algebra,
 activation surgery, JSON round-trips, and model construction/execution."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import actkit
 
 from actkit import (
     ALL,
@@ -389,3 +396,33 @@ class TestLossAndGradients:
             model.params[name] = model.params[name] - np.float32(0.05) * g
         loss1, _ = loss_and_gradients(model, batch, labels)
         assert loss1 < loss0
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from actkit import Rng, build_model, forward, gen_synthetic_images, loss_and_gradients, preset
+model = build_model(preset("mini-x3d"), Rng(7))
+data = gen_synthetic_images(32, seed=5)
+digest = hashlib.sha256(forward(model, data.images).tobytes())
+loss, grads = loss_and_gradients(model, data.images, data.labels)
+digest.update(repr(loss).encode())
+for name, g in grads.items():
+    digest.update(name.encode() + g.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_results_identical_across_blas_thread_counts():
+    """Batch 32 makes the stage-1 GEMMs large enough for OpenBLAS to split them
+    across threads; logits, loss and every gradient must not change bitwise."""
+    src = str(Path(actkit.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+        run = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]

@@ -3,6 +3,7 @@ brute-force oracles, finite-difference gradient checks, and the optimizer."""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from actkit import (
     DomainError,
@@ -68,6 +69,16 @@ def conv2d_oracle(x, w, b, stride):
                                 acc += xp[ni, ic, oy * stride + ky, ox * stride + kx] * w[oc, ic, ky, kx]
                     out[ni, oc, oy, ox] = acc
     return out
+
+
+def conv2d_f64(x, w, b, stride):
+    """The same correlation as conv2d_oracle in vectorized float64, fast enough to
+    sit inside a finite-difference loop without float32 rounding noise."""
+    pad = (w.shape[2] - 1) // 2
+    xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, w.shape[2:], axis=(2, 3))[:, :, ::stride, ::stride]
+    out = np.einsum("ncyxij,ocij->noyx", win, np.asarray(w, dtype=np.float64))
+    return out + np.asarray(b, dtype=np.float64)[:, None, None]
 
 
 class TestRng:
@@ -149,6 +160,7 @@ class TestConv2d:
         want = conv2d_oracle(x, w, b, stride)
         assert got.shape == want.shape
         assert np.max(np.abs(got.astype(np.float64) - want)) < 1e-5
+        assert np.max(np.abs(conv2d_f64(x, w, b, stride) - want)) < 1e-12
 
     def test_output_shape_ceil_division(self):
         x = np.zeros((1, 1, 7, 5), dtype=np.float32)
@@ -165,22 +177,27 @@ class TestConv2d:
         out = conv2d_forward(x, w, np.zeros(1, dtype=np.float32), stride=1)
         assert np.array_equal(out, x)
 
-    def test_gradients_match_fd(self):
+    @pytest.mark.parametrize("shape", [(2, 2, 4, 4), (2, 3, 7, 5)], ids=["4x4", "7x5"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_gradients_match_fd(self, k, stride, shape):
+        """Odd, non-square inputs put the dilated upstream's last row and column on
+        the ceil-division edge at stride 2. The loss is linear, so differences of a
+        float64 forward are exact; a float32 forward's rounding alone exceeds 1e-3
+        relative error at K=5."""
         rs = np.random.RandomState(31)
-        for stride in (1, 2):
-            x = rs.uniform(-1, 1, (2, 2, 4, 4)).astype(np.float32)
-            w = rs.uniform(-1, 1, (3, 2, 3, 3)).astype(np.float32)
-            b = rs.uniform(-1, 1, 3).astype(np.float32)
-            up = rs.uniform(-1, 1, conv2d_forward(x, w, b, stride).shape).astype(np.float32)
+        x = rs.uniform(-1, 1, shape).astype(np.float32)
+        w = rs.uniform(-1, 1, (3, shape[1], k, k)).astype(np.float32)
+        b = rs.uniform(-1, 1, 3).astype(np.float32)
+        up = rs.uniform(-1, 1, conv2d_forward(x, w, b, stride).shape).astype(np.float32)
 
-            def loss():
-                out = conv2d_forward(x, w, b, stride).astype(np.float64)
-                return float(np.sum(out * up))
+        def loss():
+            return float(np.sum(conv2d_f64(x, w, b, stride) * up))
 
-            gx, gw, gb = conv2d_backward(x, w, up, stride=stride)
-            assert rel_err(fd_grad(loss, x, 0.05), gx) < 1e-3
-            assert rel_err(fd_grad(loss, w, 0.05), gw) < 1e-3
-            assert rel_err(fd_grad(loss, b, 0.05), gb) < 1e-3
+        gx, gw, gb = conv2d_backward(x, w, up, stride=stride)
+        assert rel_err(fd_grad(loss, x, 0.05), gx) < 1e-3
+        assert rel_err(fd_grad(loss, w, 0.05), gw) < 1e-3
+        assert rel_err(fd_grad(loss, b, 0.05), gb) < 1e-3
 
     def test_shape_validation(self):
         x = np.zeros((1, 3, 4, 4), dtype=np.float32)
