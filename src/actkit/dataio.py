@@ -3,7 +3,7 @@ synthetic quadrant-coded images, and per-frame phase-probability sequences."""
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,6 +15,7 @@ from .tensor import Rng
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3*1024 channel-major pixel bytes
 CIFAR_CLASSES = 10
 PHASE_ROW_SUM_TOL = 1e-3
+_ROW_SUM = "sums to {:.6f}, outside 1 +/- " + str(PHASE_ROW_SUM_TOL)
 
 
 @dataclass(frozen=True)
@@ -185,39 +186,56 @@ def gen_synthetic_phases(
 
 def save_phase_csv(seq: PhaseSequence, path: str | Path) -> None:
     """Write 'frame,truth,p0,...' rows, newline-terminated, 10 significant digits."""
+    row = "%d,%d" + ",%.10g" * seq.num_classes + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["frame", "truth"] + [f"p{c}" for c in range(seq.num_classes)])
-        for t in range(seq.num_frames):
-            writer.writerow([t, int(seq.truth[t])] + [format(v, ".10g") for v in seq.probs[t]])
+        fh.write(",".join(["frame", "truth"] + [f"p{c}" for c in range(seq.num_classes)]) + "\n")
+        fh.writelines(row % (t, y, *p) for t, (y, p) in enumerate(zip(seq.truth.tolist(), seq.probs.tolist())))
 
 
 def load_phase_csv(path: str | Path) -> PhaseSequence:
-    """Parse a phase CSV; rows must sum to 1 within 1e-3 and are renormalized exactly."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    """Parse a phase CSV as save_phase_csv writes it: header 'frame,truth,p0,...', unquoted fields,
+    '\\n' or '\\r\\n' row ends, frame column ignored. Rows need an integer truth in [0, C) and
+    probabilities >= 0 summing to 1 within 1e-3 (then renormalized), else FormatError names the row."""
+    text = Path(path).read_text()
+    if not text:
         raise FormatError(f"{path}: empty file")
-    header = rows[0]
+    header, *body = text.removesuffix("\n").split("\n")
+    header = header.split(",") if header else []
     if len(header) < 4 or header[:2] != ["frame", "truth"] or header[2] != "p0":
         raise FormatError(f"{path}: bad header {header!r} (expected frame,truth,p0,...)")
     num_classes = len(header) - 2
     if header[2:] != [f"p{c}" for c in range(num_classes)]:
         raise FormatError(f"{path}: probability columns must be p0..p{num_classes - 1}")
-    if len(rows) == 1:
+    if not body:
         raise FormatError(f"{path}: no data rows")
-    probs = np.empty((len(rows) - 1, num_classes), dtype=np.float64)
-    truth = np.empty(len(rows) - 1, dtype=np.int64)
-    for i, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise FormatError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-        try:
-            truth[i] = int(row[1])
-            probs[i] = [float(v) for v in row[2:]]
-        except ValueError as exc:
-            raise FormatError(f"{path}: row {i}: {exc}") from None
-        total = probs[i].sum()
-        if not (abs(total - 1.0) <= PHASE_ROW_SUM_TOL):  # also rejects NaN
-            raise FormatError(f"{path}: row {i} sums to {total:.6f}, outside 1 +/- {PHASE_ROW_SUM_TOL}")
-        probs[i] /= total
-    return PhaseSequence(probs, truth)
+    # 'frame' holds a row's first character only, so that loadtxt checks every row's field count
+    row_type = [("frame", "U1"), ("truth", np.int64), ("p", np.float64, (num_classes,))]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.x reads '1.0' as an int64 with just a DeprecationWarning
+            table = np.loadtxt(body, row_type, delimiter=",", comments=None, quotechar=None, ndmin=1)
+        if len(table) != len(body):
+            raise ValueError("loadtxt skipped a blank line")
+    except (ValueError, Warning) as exc:
+        # the only row loop, run on failure alone: name the first bad row and what is wrong with it
+        for i, fields in enumerate(line.split(",") if line else [] for line in body):
+            if len(fields) != len(header):
+                raise FormatError(f"{path}: row {i} has {len(fields)} fields, expected {len(header)}")
+            try:
+                int(fields[1])
+                total = sum(map(float, fields[2:]))
+            except ValueError as err:
+                raise FormatError(f"{path}: row {i}: {err}") from None
+            if not (abs(total - 1.0) <= PHASE_ROW_SUM_TOL):
+                raise FormatError(f"{path}: row {i} {_ROW_SUM.format(total)}")
+        raise FormatError(f"{path}: {exc}") from None  # a number Python's parser takes and numpy's does not
+    truth, probs = table["truth"].copy(), table["p"]
+    sums = probs.sum(axis=1)
+    for bad, why in (
+        (~(np.abs(sums - 1.0) <= PHASE_ROW_SUM_TOL), lambda i: _ROW_SUM.format(sums[i])),  # also rejects NaN
+        ((probs < 0).any(axis=1), lambda i: f"has a negative probability {probs[i].min():g}"),
+        ((truth < 0) | (truth >= num_classes), lambda i: f"has truth {truth[i]}, outside [0, {num_classes})"),
+    ):
+        if bad.any():
+            raise FormatError(f"{path}: row {bad.argmax()} {why(bad.argmax())}")
+    return PhaseSequence(probs / sums[:, None], truth)

@@ -8,7 +8,6 @@ probability vector and no phase lag is introduced.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,21 +28,29 @@ def sma(probs: np.ndarray, w: int) -> np.ndarray:
 
     w=1 is the exact identity. Output is float64, O(T*C) regardless of w.
     """
-    if w < 1:
-        raise DomainError(f"window size must be >= 1, got {w}")
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 2:
-        raise ShapeError(f"probs must be a (T, C) matrix, got shape {p.shape}")
-    if w == 1:
-        return p.copy()
-    t = p.shape[0]
-    left, right = w // 2, (w - 1) // 2  # ceil((w-1)/2), floor((w-1)/2)
-    cum = np.vstack([np.zeros((1, p.shape[1])), np.cumsum(p, axis=0)])
-    pos = np.arange(t)
-    lo = np.maximum(0, pos - left)
-    hi = np.minimum(t - 1, pos + right)
-    counts = (hi - lo + 1).astype(np.float64)
-    return (cum[hi + 1] - cum[lo]) / counts[:, None]
+    return next(_window_means(probs, [w]))
+
+
+def _window_means(probs: np.ndarray, windows: list[int]):
+    """Yield sma(probs, w) for each window in turn; all of them share one cumulative sum."""
+    cum = None
+    for w in windows:
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
+            raise DomainError(f"window size must be an integer, got {w!r}")
+        if w < 1:
+            raise DomainError(f"window size must be >= 1, got {w}")
+        p = np.asarray(probs, dtype=np.float64)
+        if p.ndim != 2:
+            raise ShapeError(f"probs must be a (T, C) matrix, got shape {p.shape}")
+        if w == 1:
+            yield p.copy()
+            continue
+        if cum is None:
+            cum = np.vstack([np.zeros((1, p.shape[1])), np.cumsum(p, axis=0)])
+        pos = np.arange(p.shape[0])
+        lo = np.maximum(0, pos - w // 2)  # ceil((w-1)/2) rows before
+        hi = np.minimum(p.shape[0] - 1, pos + (w - 1) // 2)  # floor((w-1)/2) rows after
+        yield (cum[hi + 1] - cum[lo]) / (hi - lo + 1)[:, None]
 
 
 def argmax_decode(probs: np.ndarray) -> np.ndarray:
@@ -70,10 +77,8 @@ def sweep_window(seq: PhaseSequence, windows: list[int]) -> tuple[list[WindowSwe
     """
     if not windows:
         raise DomainError("window list must not be empty")
-    rows = []
-    for w in windows:
-        acc = frame_accuracy(argmax_decode(sma(seq.probs, w)), seq.truth)
-        rows.append(WindowSweepRow(w=int(w), accuracy=acc))
+    means = _window_means(seq.probs, windows)
+    rows = [WindowSweepRow(int(w), frame_accuracy(argmax_decode(m), seq.truth)) for w, m in zip(windows, means)]
     best = max(rows, key=lambda r: r.accuracy)
     return rows, best.w
 
@@ -81,7 +86,5 @@ def sweep_window(seq: PhaseSequence, windows: list[int]) -> tuple[list[WindowSwe
 def save_sweep_csv(rows: list[WindowSweepRow], path: str | Path) -> None:
     """Plot-ready 'w,accuracy' CSV, one row per window."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["w", "accuracy"])
-        for row in rows:
-            writer.writerow([row.w, repr(row.accuracy)])
+        fh.write("w,accuracy\n")
+        fh.writelines(f"{row.w},{row.accuracy!r}\n" for row in rows)

@@ -102,6 +102,18 @@ class TestPhasesAndSmooth:
         assert rc != 0
         assert "DomainError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, why",
+        [("1,1.2,-0.2", "has a negative probability -0.2"), ("7,0.5,0.5", "has truth 7, outside [0, 2)")],
+        ids=["negative-probability", "truth-out-of-range"],
+    )
+    def test_bad_phase_row_names_file_and_row(self, row, why, tmp_path, capsys):
+        path = tmp_path / "seq.csv"
+        path.write_text(f"frame,truth,p0,p1\n0,0,0.5,0.5\n1,{row}\n")
+        rc = main(["smooth", "--in", str(path), "--windows", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"FormatError: {path}: row 1 {why}\n"
+
 
 class TestBench:
     def test_bench_table_and_csv(self, tmp_path, capsys):

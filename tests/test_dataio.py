@@ -1,6 +1,8 @@
 """Data I/O tests: the CIFAR-10 binary parser against a hand-built byte
 fixture, stratified subsetting, the synthetic generators, and phase CSVs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,99 @@ class TestPhaseCsv:
         path.write_text("frame,truth,p0,p1\n")
         with pytest.raises(FormatError):
             load_phase_csv(path)
+
+    HEADER = "frame,truth,p0,p1\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            (HEADER, "no data rows"),
+            ("frame,label,p0,p1\n0,0,0.5,0.5\n", "bad header ['frame', 'label', 'p0', 'p1'] (expected frame,truth,p0,...)"),
+            ("\n", "bad header [] (expected frame,truth,p0,...)"),
+            ("frame,truth,p0,p2\n0,0,0.5,0.5\n", "probability columns must be p0..p1"),
+            (HEADER + "0,0,0.5\n", "row 0 has 3 fields, expected 4"),
+            (HEADER + "0,0,0.5,0.5\n1,0,0.5,0.5,0\n", "row 1 has 5 fields, expected 4"),
+            (HEADER + "0,0,0.5,0.5\n\n1,0,0.5,0.5\n", "row 1 has 0 fields, expected 4"),
+            (HEADER + "# comment\n0,0,0.5,0.5\n", "row 0 has 1 fields, expected 4"),
+            (HEADER + "0,zero,0.5,0.5\n", "row 0: invalid literal for int() with base 10: 'zero'"),
+            (HEADER + "0,0,0.5,0.5\n1,1.0,0.5,0.5\n", "row 1: invalid literal for int() with base 10: '1.0'"),
+            (HEADER + "0,0,0.6,0.5\n", "row 0 sums to 1.100000, outside 1 +/- 0.001"),
+            (HEADER + "0,0,0.5,0.5\n1,0,nan,0.5\n", "row 1 sums to nan, outside 1 +/- 0.001"),
+            (HEADER + "0,0,inf,0.5\n", "row 0 sums to inf, outside 1 +/- 0.001"),
+            (HEADER + "0,0,0.9,0.5\n1,x,0.5,0.5\n", "row 0 sums to 1.400000, outside 1 +/- 0.001"),
+        ],
+        ids=[
+            "empty",
+            "header-only",
+            "bad-header",
+            "blank-header",
+            "p0-p2",
+            "short-row",
+            "extra-field",
+            "blank-line",
+            "comment-line",
+            "truth-zero",
+            "truth-1.0",
+            "sum-1.1",
+            "nan",
+            "inf",
+            "sum-before-later-parse-error",
+        ],
+    )
+    def test_malformed_input_message(self, tmp_path, text, message):
+        path = tmp_path / "seq.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            load_phase_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (HEADER + "0,0,0.5,0.5\n1,0,1.2,-0.2\n", "row 1 has a negative probability -0.2"),
+            (HEADER + "0,0,0.5,0.5\n1,7,0.5,0.5\n", "row 1 has truth 7, outside [0, 2)"),
+            (HEADER + "0,-1,0.5,0.5\n", "row 0 has truth -1, outside [0, 2)"),
+            (HEADER + '0,0,"0.5",0.5\n', "row 0: could not convert string to float: '\"0.5\"'"),
+        ],
+        ids=["negative-probability", "truth-too-large", "truth-negative", "quoted-field"],
+    )
+    def test_bad_row_named(self, tmp_path, text, message):
+        path = tmp_path / "seq.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            load_phase_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"frame,truth,p0,p1\r\n0,1,0.25,0.75\r\n1,0,0.5,0.5\r\n",
+            b"frame,truth,p0,p1\n0, 1 , 0.25 ,0.75 \n1,0,0.5,\t0.5\n",
+            b"frame,truth,p0,p1\nstart,1,0.25,0.75\n#,0,0.5,0.5",
+        ],
+        ids=["crlf", "spaces", "non-numeric-frame-no-final-newline"],
+    )
+    def test_tolerated_input_loads(self, tmp_path, raw):
+        path = tmp_path / "seq.csv"
+        path.write_bytes(raw)
+        seq = load_phase_csv(path)
+        assert seq.truth.tolist() == [1, 0]
+        assert seq.probs.tolist() == [[0.25, 0.75], [0.5, 0.5]]
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((10, 20, 150, 0.3, 0.15, 2), "d14afb98a4d4f17a8bdd8d925443a43cada356f9fd60b6b8c4da9c68311bb20a"),
+            ((2, 3, 40, 0.2, 0.1, 5), "7b8f443a41871970c67a7d65b4d6e490834badae97cb2c8fe18c432944e9c01b"),
+            ((4, 2, 5, 0.5, 0.3, 1), "7cda648cb994c0f351437bf328acedd8fa87d5d618c669b12d5c8ab1e586734b"),
+        ],
+        ids=["C10-T150", "C2-T40", "C4-T5"],
+    )
+    def test_saved_bytes_golden(self, tmp_path, args, digest):
+        path = tmp_path / "seq.csv"
+        save_phase_csv(gen_synthetic_phases(*args), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestDatasetTypes:

@@ -1,6 +1,8 @@
 """Temporal smoothing tests: the centered truncated-window mean against a
 brute-force oracle, decoding, accuracy, and the window sweep."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,17 @@ class TestSma:
         with pytest.raises(ShapeError):
             sma(np.ones(8), 2)
 
+    @pytest.mark.parametrize("w", [2.5, 2.0, True, "3", None], ids=repr)
+    def test_non_integer_window_rejected(self, w):
+        with pytest.raises(DomainError, match=f"window size must be an integer, got {re.escape(repr(w))}$"):
+            sma(np.ones((4, 2)), w)
+        with pytest.raises(DomainError, match="window size must be an integer"):
+            sweep_window(PhaseSequence(np.full((4, 2), 0.5), np.zeros(4, dtype=np.int64)), [1, w])
+
+    def test_numpy_integer_window_accepted(self):
+        probs = np.random.RandomState(2).uniform(0, 1, (20, 3))
+        assert np.array_equal(sma(probs, np.int64(5)), sma(probs, 5))
+
 
 class TestDecodeAndAccuracy:
     """Argmax decoding with the lowest-index tie rule, and exact accuracy."""
@@ -134,7 +147,7 @@ class TestSweep:
 
     def test_accuracies_match_direct_computation(self):
         seq = gen_synthetic_phases(10, 50, 600, 0.25, 0.1, seed=13)
-        rows, _ = sweep_window(seq, [1, 8, 32])
+        rows, _ = sweep_window(seq, [1, 8, 32, 600, 601, 1199, 1200, 5000])  # and windows >= T
         for row in rows:
             direct = frame_accuracy(argmax_decode(sma(seq.probs, row.w)), seq.truth)
             assert row.accuracy == direct
