@@ -55,6 +55,10 @@ class PhaseSequence:
         sums = self.probs.sum(axis=1)
         if not (np.abs(sums - 1.0).max() <= 1e-5):  # also rejects NaN
             raise DomainError("probability rows must sum to 1 within 1e-5")
+        whole = self.truth == np.trunc(self.truth)  # also rejects NaN
+        if not whole.all():
+            i = int(np.argmin(whole))
+            raise DomainError(f"truth labels must be integers, got {self.truth[i]} at frame {i}")
         c = self.probs.shape[1]
         if self.truth.min() < 0 or self.truth.max() >= c:
             raise DomainError(f"truth labels must lie in [0, {c})")

@@ -1,7 +1,9 @@
 """The five activation functions: scalar and batched forward, derivatives, gap analysis.
 
-Public kernels compute in 32-bit floats. The approximation analyzer runs its grid
-scan in 64-bit so the reported gap is trustworthy at the 1e-7 level.
+Each kind has one forward and one derivative. Both return a fresh array built with
+in-place ops, so a call makes at most two full-size float buffers. Public kernels compute in
+32-bit floats. The forwards keep a float64 input in float64, so the approximation
+analyzer runs its grid scan in 64-bit and the reported gap is trustworthy at 1e-7.
 """
 
 from __future__ import annotations
@@ -43,78 +45,93 @@ KNOTS: dict[ActivationKind, tuple[float, ...]] = {
 }
 
 
-def _sigmoid32(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; pick the algebraically equal branch per sign
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1/(1+exp(-x)): below x = -88.7 exp overflows to inf, and 1/inf is exactly 0
+    s = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
-def _relu32(x):
-    return np.maximum(x, np.float32(0.0))
+def _swish(x):
+    s = _sigmoid(x)
+    s *= x
+    return s
 
 
-def _relu6_32(x):
-    return np.minimum(np.maximum(x, np.float32(0.0)), np.float32(6.0))
+def _hardswish(x):
+    # x * clip((x+3)/6, 0, 1): exactly x for x >= 3 and 0 for x <= -3
+    t = x + 3.0
+    t /= 6.0
+    np.clip(t, 0.0, 1.0, out=t)
+    t *= x
+    return t
 
 
-def _swish32(x):
-    return x * _sigmoid32(x)
-
-
-def _hardswish32(x):
-    return x * np.clip((x + np.float32(3.0)) / np.float32(6.0), np.float32(0.0), np.float32(1.0))
-
-
-# The float32 constants never narrow a float64 input, so max_approx_error runs these in 64-bit.
 _FORWARD = {
-    ActivationKind.RELU: _relu32,
-    ActivationKind.RELU6: _relu6_32,
-    ActivationKind.SIGMOID: _sigmoid32,
-    ActivationKind.SWISH: _swish32,
-    ActivationKind.HARDSWISH: _hardswish32,
+    ActivationKind.RELU: lambda x: np.maximum(x, 0.0),
+    ActivationKind.RELU6: lambda x: np.clip(x, 0.0, 6.0),
+    ActivationKind.SIGMOID: _sigmoid,
+    ActivationKind.SWISH: _swish,
+    ActivationKind.HARDSWISH: _hardswish,
 }
 
 
-def _relu_deriv32(x):
-    return np.where(x > 0, np.float32(1.0), np.float32(0.0))
+def _sigmoid_deriv(x):
+    # sigma(x) * sigma(-x) = 0.5/(1 + cosh x): one buffer, and no 1 - sigma cancellation in the
+    # tails; past |x| = 89 cosh overflows to inf, and 1/inf is exactly 0
+    with np.errstate(over="ignore"):
+        d = np.cosh(x)
+    d += 1.0
+    np.reciprocal(d, out=d)
+    d *= 0.5
+    return d
 
 
-def _relu6_deriv32(x):
-    return np.where((x > 0) & (x < 6), np.float32(1.0), np.float32(0.0))
-
-
-def _sigmoid_deriv32(x):
-    s = _sigmoid32(x)
-    return s * (np.float32(1.0) - s)
-
-
-def _swish_deriv32(x):
+def _swish_deriv(x):
     # d/dx x*sigma(x) = sigma(x) * (1 + x * (1 - sigma(x)))
-    s = _sigmoid32(x)
-    return s * (np.float32(1.0) + x * (np.float32(1.0) - s))
+    s = _sigmoid(x)
+    d = 1.0 - s
+    d *= x
+    d += 1.0
+    d *= s
+    return d
 
 
-def _hardswish_deriv32(x):
-    # 0 for x <= -3, (2x+3)/6 on the quadratic piece (closed at x=3), 1 for x > 3
-    mid = (np.float32(2.0) * x + np.float32(3.0)) / np.float32(6.0)
-    out = np.where(x <= 3, mid, np.float32(1.0))
-    return np.where(x <= -3, np.float32(0.0), out)
+def _hardswish_deriv(x):
+    # 0 for x <= -3, (2x+3)/6 on the quadratic piece (closed at x=3), 1 for x > 3.
+    # (x+1.5)/3 is (2x+3)/6 bit for bit and stays finite at +-float32 max, so the
+    # mask product is never inf*0.
+    d = x + 1.5
+    d /= 3.0
+    high = x > 3.0
+    quad = x > -3.0
+    quad ^= high  # -3 < x <= 3
+    d *= quad
+    d += high
+    return d
 
 
-_DERIV32 = {
-    ActivationKind.RELU: _relu_deriv32,
-    ActivationKind.RELU6: _relu6_deriv32,
-    ActivationKind.SIGMOID: _sigmoid_deriv32,
-    ActivationKind.SWISH: _swish_deriv32,
-    ActivationKind.HARDSWISH: _hardswish_deriv32,
+_DERIV = {
+    ActivationKind.RELU: lambda x: (x > 0.0).astype(np.float32),
+    ActivationKind.RELU6: lambda x: ((x > 0.0) & (x < 6.0)).astype(np.float32),
+    ActivationKind.SIGMOID: _sigmoid_deriv,
+    ActivationKind.SWISH: _swish_deriv,
+    ActivationKind.HARDSWISH: _hardswish_deriv,
 }
+
+
+def _at_point(fn, x: float) -> float:
+    # the batch kernels on a length-1 float32 array: in-place ops need an array, not a scalar
+    if not abs(x) <= float(np.finfo(np.float32).max):  # NaN, inf, and finite values beyond float32
+        raise DomainError(f"activation input must be finite in float32, got {x!r}")
+    return float(fn(np.array([x], dtype=np.float32))[0])
 
 
 def activate(kind: ActivationKind, x: float) -> float:
     """Evaluate one activation at a single point, in 32-bit arithmetic."""
-    if not math.isfinite(x):
-        raise DomainError(f"activation input must be finite, got {x!r}")
-    return float(_FORWARD[kind](np.float32(x)))
+    return _at_point(_FORWARD[kind], x)
 
 
 def activate_derivative(kind: ActivationKind, x: float) -> float:
@@ -123,26 +140,33 @@ def activate_derivative(kind: ActivationKind, x: float) -> float:
     At the piecewise knots the conventions are: ReLU'(0) = 0, ReLU6'(0) = ReLU6'(6) = 0,
     HardSwish'(-3) = 0 and HardSwish'(3) = 1.5 (the quadratic piece is closed on the right).
     """
-    if not math.isfinite(x):
-        raise DomainError(f"activation input must be finite, got {x!r}")
-    return float(_DERIV32[kind](np.float32(x)))
+    return _at_point(_DERIV[kind], x)
 
 
 def activate_batch(kind: ActivationKind, xs: np.ndarray) -> np.ndarray:
-    """Elementwise activation over a float32 array; output shape equals input shape."""
+    """Elementwise activation over a float32 array; output shape equals input shape.
+
+    Rejects NaN and +-inf inputs with a DomainError naming the first one.
+    """
     arr = np.ascontiguousarray(xs, dtype=np.float32)
-    if not np.isfinite(arr).all():
-        raise DomainError(f"activation batch contains non-finite elements ({kind.value})")
-    return np.ascontiguousarray(_FORWARD[kind](arr))
+    # NaN propagates through min and max, so two reductions cover every non-finite value
+    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        bad = np.flatnonzero(~np.isfinite(arr))
+        i = int(bad[0])
+        raise DomainError(f"{kind.value} batch {arr.shape} has {bad.size} non-finite elements, "
+                          f"first {arr.flat[i]} at flat index {i}")
+    return _FORWARD[kind](arr)
 
 
 def activate_batch_backward(kind: ActivationKind, xs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """upstream * f'(x), elementwise. Shapes of xs and upstream must match."""
+    """upstream * f'(x), elementwise. Shapes must match; finiteness is not checked."""
     arr = np.ascontiguousarray(xs, dtype=np.float32)
     up = np.ascontiguousarray(upstream, dtype=np.float32)
     if arr.shape != up.shape:
         raise ShapeError(f"input shape {arr.shape} != upstream shape {up.shape}")
-    return np.ascontiguousarray(up * _DERIV32[kind](arr))
+    grad = _DERIV[kind](arr)
+    grad *= up
+    return grad
 
 
 def max_approx_error(

@@ -408,3 +408,17 @@ class TestDatasetTypes:
         probs[1, 0] = np.nan
         with pytest.raises(DomainError):
             PhaseSequence(probs, np.zeros(2, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "truth, message",
+        [([0.7, 1.4], "got 0.7 at frame 0"), ([1.0, np.nan], "got nan at frame 1")],
+        ids=["fractional", "nan"],
+    )
+    def test_phase_truth_must_be_integer_valued(self, truth, message):
+        with pytest.raises(DomainError) as err:
+            PhaseSequence(np.full((2, 2), 0.5), np.array(truth))
+        assert str(err.value) == f"truth labels must be integers, {message}"
+
+    def test_phase_truth_integer_valued_floats_accepted(self):
+        seq = PhaseSequence(np.full((2, 2), 0.5), np.array([0.0, 1.0]))
+        assert seq.num_frames == 2

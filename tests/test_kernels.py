@@ -2,6 +2,8 @@
 continuity, tail exactness, derivative conventions, and the approximation
 analyzer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,78 @@ class TestDerivatives:
         assert np.array_equal(got, up * deriv)
 
 
+FMAX = float(np.finfo(np.float32).max)
+TINY = float(np.finfo(np.float32).tiny)
+EXTREMES = np.array([-FMAX, -1e30, -100.0, -20.0, 20.0, 100.0, 1e30, FMAX], dtype=np.float32)
+SMOOTH = [ActivationKind.SIGMOID, ActivationKind.SWISH]
+# (forward, derivative) of the piecewise kinds on the negative and the positive tail; None is x itself
+PIECEWISE_TAILS = {
+    ActivationKind.RELU: ((0.0, 0.0), (None, 1.0)),
+    ActivationKind.RELU6: ((0.0, 0.0), (6.0, 0.0)),
+    ActivationKind.HARDSWISH: ((0.0, 0.0), (None, 1.0)),
+}
+
+
+def ref64_deriv(kind: ActivationKind, x: np.ndarray) -> np.ndarray:
+    """64-bit Sigmoid and Swish derivatives, through sigma(x)*sigma(-x) so the tails keep their digits."""
+    x = np.asarray(x, dtype=np.float64)
+    s, s_neg = ref64(ActivationKind.SIGMOID, x), ref64(ActivationKind.SIGMOID, -x)
+    return s * s_neg if kind is ActivationKind.SIGMOID else s + x * s * s_neg
+
+
+def assert_tracks(got, want):
+    """Relative error <= 1e-6 where the reference is a normal float32, below TINY elsewhere."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    normal = np.abs(want) >= TINY
+    assert np.max(np.abs(got[normal] - want[normal]) / np.abs(want[normal])) <= 1e-6
+    assert np.all(np.abs(got[~normal]) < TINY)
+
+
+class TestExtremes:
+    """Out to +-float32 max every kind stays finite and raises no numpy warning. Piecewise
+    tails are exact; Sigmoid and Swish saturate exactly and track float64 wherever they
+    are normal float32 numbers."""
+
+    @staticmethod
+    def evaluate(kind, xs):
+        up = np.full(xs.shape, -0.5, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fwd = activate_batch(kind, xs)
+            bwd = activate_batch_backward(kind, xs, up)
+            deriv = np.array([activate_derivative(kind, float(x)) for x in xs], dtype=np.float32)
+            scalar = np.array([activate(kind, float(x)) for x in xs], dtype=np.float32)
+        assert np.isfinite(fwd).all() and np.isfinite(deriv).all()
+        assert np.array_equal(fwd, scalar)
+        assert np.array_equal(bwd, up * deriv)
+        return fwd, deriv
+
+    @pytest.mark.parametrize("kind", list(PIECEWISE_TAILS), ids=lambda k: k.value)
+    def test_piecewise_tails_exact(self, kind):
+        fwd, deriv = self.evaluate(kind, EXTREMES)
+        for x, f, d in zip(EXTREMES, fwd, deriv):
+            want_f, want_d = PIECEWISE_TAILS[kind][bool(x > 0)]
+            assert f == (x if want_f is None else want_f), (x, f)
+            assert d == want_d, (x, d)
+
+    @pytest.mark.parametrize("kind", SMOOTH, ids=lambda k: k.value)
+    def test_smooth_kinds_at_extremes(self, kind):
+        fwd, deriv = self.evaluate(kind, EXTREMES)
+        assert_tracks(fwd, ref64(kind, EXTREMES))
+        assert_tracks(deriv, ref64_deriv(kind, EXTREMES))
+        high = EXTREMES > 0
+        assert np.array_equal(fwd[high], np.ones(high.sum()) if kind is ActivationKind.SIGMOID else EXTREMES[high])
+        if kind is ActivationKind.SWISH:
+            assert np.all(deriv[high] == 1.0)
+
+    @pytest.mark.parametrize("kind", SMOOTH, ids=lambda k: k.value)
+    def test_smooth_kinds_track_float64_where_normal(self, kind):
+        xs = np.linspace(-88.0, 88.0, 200_001, dtype=np.float32)
+        assert_tracks(activate_batch(kind, xs), ref64(kind, xs))
+        if kind is ActivationKind.SIGMOID:  # Swish' has a root near -1.28, so no relative bound there
+            assert_tracks(activate_batch_backward(kind, xs, np.ones_like(xs)), ref64_deriv(kind, xs))
+
+
 class TestApproximationAnalyzer:
     """Dense-grid max gap between two activations."""
 
@@ -211,10 +285,34 @@ class TestValidation:
         with pytest.raises(DomainError):
             activate_derivative(ActivationKind.SWISH, float("inf"))
 
+    def test_scalar_rejects_values_beyond_float32(self):
+        """-1e39 is finite in float64 but -inf in float32, where Swish would give -inf * 0 = nan."""
+        for x in (-1e39, 1e39):
+            with pytest.raises(DomainError, match="finite in float32"):
+                activate(ActivationKind.SWISH, x)
+            with pytest.raises(DomainError, match="finite in float32"):
+                activate_derivative(ActivationKind.SWISH, x)
+        assert activate(ActivationKind.SWISH, -FMAX) == 0.0
+
     def test_batch_rejects_nan(self):
         xs = np.array([1.0, np.nan, 2.0], dtype=np.float32)
         with pytest.raises(DomainError):
             activate_batch(ActivationKind.SIGMOID, xs)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({(0, 1, 2): np.nan, (1, 0, 0): np.inf, (1, 2, 3): -np.inf}, "3 non-finite elements, first nan at flat index 6"),
+            ({(0, 0, 0): -np.inf}, "1 non-finite elements, first -inf at flat index 0"),
+        ],
+    )
+    def test_batch_error_names_kind_shape_count_and_first(self, bad, message):
+        xs = np.ones((2, 3, 4), dtype=np.float32)
+        for at, v in bad.items():
+            xs[at] = v
+        with pytest.raises(DomainError) as err:
+            activate_batch(ActivationKind.SWISH, xs)
+        assert str(err.value) == f"swish batch (2, 3, 4) has {message}"
 
     def test_backward_rejects_shape_mismatch(self):
         xs = np.zeros((2, 3), dtype=np.float32)
@@ -228,6 +326,16 @@ class TestValidation:
         assert ActivationKind.from_name(" ReLU ") is ActivationKind.RELU
         with pytest.raises(DomainError):
             ActivationKind.from_name("gelu")
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_inputs_left_unmodified(self, kind):
+        rs = np.random.RandomState(29)
+        xs = rs.uniform(-8.0, 8.0, size=(3, 50)).astype(np.float32)
+        up = rs.uniform(-2.0, 2.0, size=(3, 50)).astype(np.float32)
+        xs0, up0 = xs.copy(), up.copy()
+        activate_batch(kind, xs)
+        activate_batch_backward(kind, xs, up)
+        assert np.array_equal(xs, xs0) and np.array_equal(up, up0)
 
     def test_batch_preserves_shape_and_dtype(self):
         xs = np.zeros((3, 4, 5), dtype=np.float32)
