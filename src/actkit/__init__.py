@@ -92,8 +92,6 @@ from .tensor import (
     global_avg_pool,
     global_avg_pool_backward,
     he_init,
-    maxpool2x2_backward,
-    maxpool2x2_forward,
     sgd_momentum_step,
     softmax_cross_entropy,
 )

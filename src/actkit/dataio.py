@@ -35,6 +35,17 @@ class ImageDataset:
         return self.images.shape[0]
 
 
+def check_integer_labels(labels: np.ndarray, what: str) -> None:
+    """Raise DomainError naming the first label that is fractional, NaN or infinite.
+    An integer dtype passes without a scan."""
+    if labels.dtype.kind in "biu":
+        return
+    whole = np.isfinite(labels) & (labels == np.trunc(labels))
+    if not whole.all():
+        i = int(np.argmin(whole))
+        raise DomainError(f"{what} labels must be integers, got {labels[i]} at frame {i}")
+
+
 @dataclass(frozen=True)
 class PhaseSequence:
     """Per-frame class probabilities (T,C) with ground-truth labels (T,).
@@ -55,10 +66,7 @@ class PhaseSequence:
         sums = self.probs.sum(axis=1)
         if not (np.abs(sums - 1.0).max() <= 1e-5):  # also rejects NaN
             raise DomainError("probability rows must sum to 1 within 1e-5")
-        whole = self.truth == np.trunc(self.truth)  # also rejects NaN
-        if not whole.all():
-            i = int(np.argmin(whole))
-            raise DomainError(f"truth labels must be integers, got {self.truth[i]} at frame {i}")
+        check_integer_labels(self.truth, "truth")
         c = self.probs.shape[1]
         if self.truth.min() < 0 or self.truth.max() >= c:
             raise DomainError(f"truth labels must lie in [0, {c})")

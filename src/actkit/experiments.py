@@ -112,16 +112,18 @@ class SeedRun:
     init_param_hash: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentReport:
+    """One config's result; the field order is the JSON key order."""
+
     label: str
     preset: str
+    spec_fingerprint: str
+    hyperparams: Hyperparams
+    dataset: DataConfig
     runs: tuple[SeedRun, ...]
     mean_accuracy: float
     mean_train_seconds: float
-    hyperparams: Hyperparams
-    dataset: DataConfig
-    spec_fingerprint: str
 
 
 def apply_surgery(spec: ModelSpec, steps: tuple[SurgeryStep, ...]) -> ModelSpec:
@@ -176,7 +178,7 @@ def _train_single(
     rng = Rng(seed)
     model = build_model(spec, rng)
     init_hash = param_hash(model)
-    velocity = [np.zeros_like(p) for p in model.param_list()]
+    velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
     n = len(train)
 
     start = time.perf_counter()
@@ -185,10 +187,7 @@ def _train_single(
         for lo in range(0, n, hp.batch_size):
             batch_idx = order[lo : lo + hp.batch_size]
             _, grads = loss_and_gradients(model, train.images[batch_idx], train.labels[batch_idx])
-            new_params, velocity = sgd_momentum_step(
-                model.param_list(), list(grads.values()), velocity, hp.lr, hp.momentum
-            )
-            model.set_params(new_params)
+            model.params, velocity = sgd_momentum_step(model.params, grads, velocity, hp.lr, hp.momentum)
     train_seconds = time.perf_counter() - start
 
     return SeedRun(
@@ -237,6 +236,7 @@ def run_grid(
 
 # --- serialization ---------------------------------------------------------
 
+# One CSV row per seed; each column is a field name of ExperimentReport, its Hyperparams or the SeedRun.
 _REPORT_CSV_COLUMNS = [
     "label",
     "preset",
@@ -255,29 +255,19 @@ _REPORT_CSV_COLUMNS = [
 
 
 def report_to_json(report: ExperimentReport) -> dict:
-    return {
-        "label": report.label,
-        "preset": report.preset,
-        "spec_fingerprint": report.spec_fingerprint,
-        "hyperparams": asdict(report.hyperparams),
-        "dataset": asdict(report.dataset),
-        "runs": [asdict(r) for r in report.runs],
-        "mean_accuracy": report.mean_accuracy,
-        "mean_train_seconds": report.mean_train_seconds,
-    }
+    return asdict(report)
 
 
 def report_from_json(doc: dict) -> ExperimentReport:
+    """Inverse of report_to_json; a missing or unknown key raises ConfigError."""
     try:
         return ExperimentReport(
-            label=doc["label"],
-            preset=doc["preset"],
-            runs=tuple(SeedRun(**r) for r in doc["runs"]),
-            mean_accuracy=doc["mean_accuracy"],
-            mean_train_seconds=doc["mean_train_seconds"],
-            hyperparams=Hyperparams(**doc["hyperparams"]),
-            dataset=DataConfig(**doc["dataset"]),
-            spec_fingerprint=doc["spec_fingerprint"],
+            **{
+                **doc,
+                "runs": tuple(SeedRun(**r) for r in doc["runs"]),
+                "hyperparams": Hyperparams(**doc["hyperparams"]),
+                "dataset": DataConfig(**doc["dataset"]),
+            }
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed report document: {exc!r}") from None
@@ -293,27 +283,11 @@ def emit_report(reports: list[ExperimentReport], path: str | Path, format: str =
             fh.write("\n")
     elif format == "csv":
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_REPORT_CSV_COLUMNS)
+            writer = csv.DictWriter(fh, _REPORT_CSV_COLUMNS, extrasaction="ignore", lineterminator="\n")
+            writer.writeheader()
             for rep in reports:
-                for run in rep.runs:
-                    writer.writerow(
-                        [
-                            rep.label,
-                            rep.preset,
-                            repr(rep.hyperparams.lr),
-                            repr(rep.hyperparams.momentum),
-                            rep.hyperparams.batch_size,
-                            rep.hyperparams.epochs,
-                            run.seed,
-                            repr(run.test_accuracy),
-                            repr(run.train_seconds),
-                            repr(rep.mean_accuracy),
-                            repr(rep.mean_train_seconds),
-                            rep.spec_fingerprint,
-                            run.init_param_hash,
-                        ]
-                    )
+                row = {**asdict(rep), **asdict(rep.hyperparams)}
+                writer.writerows({**row, **asdict(run)} for run in rep.runs)
     else:
         raise ConfigError(f"unknown report format {format!r} (expected 'csv' or 'json')")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .kernels import ActivationKind, activate_batch, activate_batch_backward
 from .tensor import (
     Rng,
@@ -39,11 +39,13 @@ FULL_SCALE_BLOCKS = (3, 5, 11, 7)
 
 @dataclass(frozen=True)
 class ActivationSite:
-    """One named nonlinearity: its id, current kind, and band (A/B inside blocks, None for the stem)."""
+    """One named nonlinearity: its id, current kind, band (A/B inside blocks) and 1-based
+    stage; band and stage are None for the stem."""
 
     site_id: str
     kind: ActivationKind
     band: str | None
+    stage: int | None
 
 
 @dataclass(frozen=True)
@@ -119,19 +121,18 @@ class GroupSelector:
             return cls("site", site_id=text.strip().split(":", 1)[1].strip())
         raise ConfigError(f"cannot parse selector {text!r}")
 
-    def matches(self, site_id: str, band: str | None, stage: int | None) -> bool:
-        """stage is 1-based, None for the stem site."""
+    def matches(self, site: ActivationSite) -> bool:
         if self.scope == "all":
             return True
         if self.scope == "initial":
-            return site_id == "stem.act"
+            return site.site_id == "stem.act"
         if self.scope == "middle":
-            return stage in (2, 3)
+            return site.stage in (2, 3)
         if self.scope == "last":
-            return stage == 4
+            return site.stage == 4
         if self.scope == "band":
-            return band == self.band
-        return site_id == self.site_id
+            return site.band == self.band
+        return site.site_id == self.site_id
 
 
 INITIAL = GroupSelector("initial")
@@ -182,10 +183,10 @@ def _blocks(spec: ModelSpec):
 
 def list_sites(spec: ModelSpec) -> list[ActivationSite]:
     """All sites in stable order: stem first, then stages and blocks in index order."""
-    sites = [ActivationSite("stem.act", spec.stem_act, None)]
-    for _, prefix, blk in _blocks(spec):
-        sites.append(ActivationSite(f"{prefix}.act_a", blk.act_a, BAND_A))
-        sites.append(ActivationSite(f"{prefix}.act_b", blk.act_b, BAND_B))
+    sites = [ActivationSite("stem.act", spec.stem_act, None, None)]
+    for k, prefix, blk in _blocks(spec):
+        sites.append(ActivationSite(f"{prefix}.act_a", blk.act_a, BAND_A, k))
+        sites.append(ActivationSite(f"{prefix}.act_b", blk.act_b, BAND_B, k))
     return sites
 
 
@@ -201,11 +202,7 @@ def replace_activations(
     sites = list_sites(spec)
     if selector.scope == "site" and selector.site_id not in {s.site_id for s in sites}:
         raise ConfigError(f"no such activation site: {selector.site_id!r}")
-    site_stages = [None] + [k for k, _, _ in _blocks(spec) for _band in (BAND_A, BAND_B)]
-    hits = [
-        selector.matches(s.site_id, s.band, k) and from_kind in (None, s.kind)
-        for s, k in zip(sites, site_stages)
-    ]
+    hits = [selector.matches(s) and from_kind in (None, s.kind) for s in sites]
     kinds = (to_kind if hit else s.kind for s, hit in zip(sites, hits))
     stem_act = next(kinds)
     stages = tuple(
@@ -269,6 +266,7 @@ def fingerprint(spec: ModelSpec) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+@dataclass(eq=False)
 class Model:
     """Parameter tensors for one ModelSpec.
 
@@ -277,18 +275,8 @@ class Model:
     in kinds yield bit-identical initial weights for the same seed.
     """
 
-    def __init__(self, spec: ModelSpec, params: dict[str, np.ndarray]):
-        self.spec = spec
-        self.params = params
-
-    def param_list(self) -> list[np.ndarray]:
-        return list(self.params.values())
-
-    def set_params(self, values: list[np.ndarray]) -> None:
-        if len(values) != len(self.params):
-            raise ShapeError("parameter count mismatch")
-        for name, val in zip(list(self.params), values):
-            self.params[name] = val
+    spec: ModelSpec
+    params: dict[str, np.ndarray]
 
 
 def build_model(spec: ModelSpec, rng: Rng) -> Model:

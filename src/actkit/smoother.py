@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import PhaseSequence
+from .dataio import PhaseSequence, check_integer_labels
 from .errors import DomainError, ShapeError
 
 
@@ -62,11 +62,13 @@ def argmax_decode(probs: np.ndarray) -> np.ndarray:
 
 
 def frame_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of frames whose predicted label equals ground truth."""
-    a = np.asarray(pred, dtype=np.int64)
-    b = np.asarray(truth, dtype=np.int64)
+    """Fraction of frames whose predicted label equals ground truth. Float labels must
+    be integer-valued: a fractional, NaN or infinite one raises DomainError."""
+    a, b = np.asarray(pred), np.asarray(truth)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ShapeError(f"need equal-length nonempty label vectors, got {a.shape} vs {b.shape}")
+    check_integer_labels(a, "predicted")
+    check_integer_labels(b, "truth")
     return float(np.mean(a == b))
 
 

@@ -168,31 +168,6 @@ def dense_backward(
     )
 
 
-def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2/stride-2 max pooling. Returns (output, argmax) where argmax stores the
-    flat window position (row-major 0..3) that won; ties go to the first scanned."""
-    x = _as_real(x, 4, "pool input")
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), idx.astype(np.int64)
-
-
-def maxpool2x2_backward(argmax: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Route upstream back to the positions recorded by maxpool2x2_forward."""
-    up = _as_real(upstream, 4, "pool upstream")
-    if argmax.shape != up.shape:
-        raise ShapeError(f"argmax shape {argmax.shape} != upstream shape {up.shape}")
-    n, c, hh, wh = up.shape
-    g = np.zeros((n, c, hh, wh, 4), dtype=REAL)
-    np.put_along_axis(g, argmax[..., None], up[..., None], axis=-1)
-    g = g.reshape(n, c, hh, wh, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(g.reshape(n, c, 2 * hh, 2 * wh))
-
-
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Mean over the spatial dims: NCHW -> (N, C)."""
     x = _as_real(x, 4, "pool input")
@@ -230,20 +205,23 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
 
 def sgd_momentum_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    velocity: list[np.ndarray],
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    velocity: dict[str, np.ndarray],
     lr: float,
     momentum: float,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """v <- momentum*v + g; p <- p - lr*v. Pure: returns fresh arrays."""
-    if not (len(params) == len(grads) == len(velocity)):
-        raise ShapeError("params, grads, velocity must have equal lengths")
-    new_params, new_velocity = [], []
-    for p, g, v in zip(params, grads, velocity):
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """v <- momentum*v + g; p <- p - lr*v, per parameter name. Pure: returns fresh
+    dicts of fresh arrays, in the order of params. A ShapeError names the parameter
+    (the least name, if several) whose name set or shape disagrees."""
+    for what, other in (("grads", grads), ("velocity", velocity)):
+        if other.keys() != params.keys():
+            raise ShapeError(f"{what} and params differ at parameter {min(other.keys() ^ params.keys())!r}")
+    new_params, new_velocity = {}, {}
+    for name, p in params.items():
+        g, v = grads[name], velocity[name]
         if p.shape != g.shape or p.shape != v.shape:
-            raise ShapeError(f"mismatched shapes {p.shape}/{g.shape}/{v.shape}")
-        nv = REAL(momentum) * v + g
-        new_velocity.append(nv)
-        new_params.append(p - REAL(lr) * nv)
+            raise ShapeError(f"parameter {name!r} has mismatched shapes {p.shape}/{g.shape}/{v.shape}")
+        new_velocity[name] = nv = REAL(momentum) * v + g
+        new_params[name] = p - REAL(lr) * nv
     return new_params, new_velocity

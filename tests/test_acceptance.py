@@ -43,8 +43,6 @@ from actkit import (
     global_avg_pool_backward,
     load_cifar10_binary,
     max_approx_error,
-    maxpool2x2_backward,
-    maxpool2x2_forward,
     run_experiment,
     run_grid,
     sma,
@@ -181,16 +179,6 @@ def test_criterion_3_gradient_checks():
             track(_rel(_fd(loss, x, 0.05), gx))
             track(_rel(_fd(loss, w, 0.05), gw))
             track(_rel(_fd(loss, b, 0.05), gb))
-            shapes_checked += 1
-
-        # maxpool: distinct values keep every argmax unique (no ties to exclude)
-        for n, c, hw in ((2, 2, 4), (1, 3, 6)):
-            size = n * c * hw * hw
-            x = (rs.permutation(np.arange(size)).reshape(n, c, hw, hw) * 0.07).astype(np.float32)
-            out, idx = maxpool2x2_forward(x)
-            up = rs.uniform(-1, 1, out.shape).astype(np.float32)
-            loss = lambda: float(np.sum(maxpool2x2_forward(x)[0].astype(np.float64) * up))
-            track(_rel(_fd(loss, x, 1e-3), maxpool2x2_backward(idx, up)))
             shapes_checked += 1
 
         # global average pool: two shapes

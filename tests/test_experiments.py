@@ -50,6 +50,23 @@ def tiny_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def hand_built_report() -> ExperimentReport:
+    """Two runs; a comma in the label, an integer lr, and floats whose repr is long or tiny."""
+    return ExperimentReport(
+        label="band:a,middle->hardswish",
+        preset="mini-x3d",
+        spec_fingerprint="f00d",
+        hyperparams=Hyperparams(lr=1, momentum=0.1 + 0.2, batch_size=16, epochs=3),
+        dataset=DataConfig(source="synthetic-images", train_size=40, test_size=20),
+        runs=(
+            SeedRun(seed=3, test_accuracy=1 / 3, train_seconds=1e-20, init_param_hash="aa11"),
+            SeedRun(seed=4, test_accuracy=0.1 + 0.2, train_seconds=2.5, init_param_hash="bb22"),
+        ),
+        mean_accuracy=(1 / 3 + (0.1 + 0.2)) / 2,
+        mean_train_seconds=1.25,
+    )
+
+
 class TestConfigValidation:
     def test_seeds_must_be_nonempty(self):
         with pytest.raises(ConfigError):
@@ -310,6 +327,41 @@ class TestSerialization:
         assert float(row["test_accuracy"]) == report.runs[0].test_accuracy
         assert float(row["mean_accuracy"]) == report.mean_accuracy
         assert row["init_param_hash"] == report.runs[0].init_param_hash
+
+    def test_emit_report_golden_bytes(self, tmp_path):
+        """Exact JSON and CSV bytes: a quoted comma, an integer lr, and floats written as repr."""
+        report = hand_built_report()
+        emit_report([report], tmp_path / "r.json", format="json")
+        emit_report([report], tmp_path / "r.csv", format="csv")
+        assert (tmp_path / "r.json").read_bytes() == (
+            b'[\n  {\n    "label": "band:a,middle->hardswish",\n    "preset": "mini-x3d",\n'
+            b'    "spec_fingerprint": "f00d",\n    "hyperparams": {\n      "lr": 1,\n'
+            b'      "momentum": 0.30000000000000004,\n      "batch_size": 16,\n      "epochs": 3\n'
+            b'    },\n    "dataset": {\n      "source": "synthetic-images",\n      "train_size": 40,\n'
+            b'      "test_size": 20,\n      "data_dir": null,\n      "subset_seed": 0\n    },\n'
+            b'    "runs": [\n      {\n        "seed": 3,\n        "test_accuracy": 0.3333333333333333,\n'
+            b'        "train_seconds": 1e-20,\n        "init_param_hash": "aa11"\n      },\n      {\n'
+            b'        "seed": 4,\n        "test_accuracy": 0.30000000000000004,\n'
+            b'        "train_seconds": 2.5,\n        "init_param_hash": "bb22"\n      }\n    ],\n'
+            b'    "mean_accuracy": 0.31666666666666665,\n    "mean_train_seconds": 1.25\n  }\n]\n'
+        )
+        assert (tmp_path / "r.csv").read_bytes() == (
+            b"label,preset,lr,momentum,batch_size,epochs,seed,test_accuracy,train_seconds,"
+            b"mean_accuracy,mean_train_seconds,spec_fingerprint,init_param_hash\n"
+            b'"band:a,middle->hardswish",mini-x3d,1,0.30000000000000004,16,3,3,0.3333333333333333,'
+            b"1e-20,0.31666666666666665,1.25,f00d,aa11\n"
+            b'"band:a,middle->hardswish",mini-x3d,1,0.30000000000000004,16,3,4,0.30000000000000004,'
+            b"2.5,0.31666666666666665,1.25,f00d,bb22\n"
+        )
+
+    def test_report_from_json_rejects_unknown_keys(self):
+        doc = report_to_json(hand_built_report())
+        assert report_from_json(doc) == hand_built_report()
+        with pytest.raises(ConfigError, match="extra"):
+            report_from_json({**doc, "extra": 1})
+        doc["runs"][0]["extra"] = 1
+        with pytest.raises(ConfigError, match="extra"):
+            report_from_json(doc)
 
     def test_emit_empty_rejected(self, tmp_path):
         with pytest.raises(DomainError):

@@ -65,7 +65,7 @@ class TestPresets:
         stem = [s for s in sites if s.site_id == "stem.act"]
         assert len(stem) == 1
         assert stem[0].kind is RELU
-        assert stem[0].band is None
+        assert stem[0].band is None and stem[0].stage is None
 
     def test_site_id_forms(self):
         ids = [s.site_id for s in list_sites(preset("mini-resnet"))]
@@ -81,7 +81,9 @@ class TestPresets:
 
     def test_full_scale_block_counts(self):
         spec = preset("mini-x3d", blocks_per_stage=(3, 5, 11, 7))
-        assert len(list_sites(spec)) == 1 + 2 * (3 + 5 + 11 + 7)
+        sites = list_sites(spec)
+        assert len(sites) == 1 + 2 * (3 + 5 + 11 + 7)
+        assert [s.stage for s in sites[1:]] == [k for k, n in enumerate((3, 5, 11, 7), 1) for _ in range(2 * n)]
         # stride lives on the first block of each stage only
         for stage in spec.stages[1:]:
             assert stage[0].stride == 2

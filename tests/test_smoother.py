@@ -125,12 +125,27 @@ class TestDecodeAndAccuracy:
         pred = np.array([0, 1, 2, 3], dtype=np.int64)
         truth = np.array([0, 1, 0, 3], dtype=np.int64)
         assert frame_accuracy(pred, truth) == 0.75
+        assert frame_accuracy(pred.astype(np.float64), truth) == 0.75
 
     def test_frame_accuracy_shape_checks(self):
         with pytest.raises(ShapeError):
             frame_accuracy(np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64))
         with pytest.raises(ShapeError):
             frame_accuracy(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "pred, truth, message",
+        [
+            ([0.7, 1.9], [0, 1], "predicted labels must be integers, got 0.7 at frame 0"),
+            ([0, 1], [1.0, np.nan], "truth labels must be integers, got nan at frame 1"),
+            ([0, 1], [0.0, np.inf], "truth labels must be integers, got inf at frame 1"),
+        ],
+        ids=["fractional", "nan", "inf"],
+    )
+    def test_frame_accuracy_rejects_non_integer_labels(self, pred, truth, message):
+        with pytest.raises(DomainError) as err:
+            frame_accuracy(np.array(pred), np.array(truth))
+        assert str(err.value) == message
 
 
 class TestSweep:

@@ -16,8 +16,6 @@ from actkit import (
     global_avg_pool,
     global_avg_pool_backward,
     he_init,
-    maxpool2x2_backward,
-    maxpool2x2_forward,
     sgd_momentum_step,
     softmax_cross_entropy,
 )
@@ -245,45 +243,6 @@ class TestDense:
             )
 
 
-class TestMaxPool:
-    """2x2/stride-2 pooling: raster values, tie rule, gradient routing."""
-
-    def test_known_windows(self):
-        x = np.array(
-            [[[[1, 2, 5, 3], [4, 3, 1, 0], [0, 0, 9, 8], [0, 7, 6, 9]]]], dtype=np.float32
-        )
-        out, idx = maxpool2x2_forward(x)
-        assert np.array_equal(out, np.array([[[[4, 5], [7, 9]]]], dtype=np.float32))
-        # window positions flatten row-major: (0,0)=0 (0,1)=1 (1,0)=2 (1,1)=3;
-        # the last window holds two 9s, so its argmax falls to the first one
-        assert np.array_equal(idx, np.array([[[[2, 0], [3, 0]]]]))
-
-    def test_tie_goes_to_first_position(self):
-        x = np.full((1, 1, 2, 2), 7.0, dtype=np.float32)
-        out, idx = maxpool2x2_forward(x)
-        assert out[0, 0, 0, 0] == 7.0
-        assert idx[0, 0, 0, 0] == 0
-
-    def test_gradient_routes_to_argmax_only(self):
-        rs = np.random.RandomState(41)
-        # distinct values guarantee a unique argmax in every window
-        x = (rs.permutation(np.arange(2 * 2 * 4 * 4)).reshape(2, 2, 4, 4) * 0.1).astype(np.float32)
-        out, idx = maxpool2x2_forward(x)
-        up = rs.uniform(-1, 1, out.shape).astype(np.float32)
-
-        def loss():
-            return float(np.sum(maxpool2x2_forward(x)[0].astype(np.float64) * up))
-
-        gx = maxpool2x2_backward(idx, up)
-        assert rel_err(fd_grad(loss, x, 1e-3), gx) < 1e-3
-        # each window sends its whole upstream to exactly one slot
-        assert np.count_nonzero(gx) == up.size
-
-    def test_odd_dims_rejected(self):
-        with pytest.raises(ShapeError):
-            maxpool2x2_forward(np.zeros((1, 1, 3, 4), dtype=np.float32))
-
-
 class TestGlobalAvgPool:
     """Spatial mean and its uniform-spread backward."""
 
@@ -355,36 +314,49 @@ class TestSoftmaxCrossEntropy:
 
 
 class TestSgdMomentum:
-    """v <- m*v + g; p <- p - lr*v, applied positionally."""
+    """v <- m*v + g; p <- p - lr*v, applied per parameter name."""
 
     def test_two_steps_worked_example(self):
-        p = [np.zeros(1, dtype=np.float32)]
-        v = [np.zeros(1, dtype=np.float32)]
-        g = [np.ones(1, dtype=np.float32)]
+        p = {"w": np.zeros(1, dtype=np.float32)}
+        v = {"w": np.zeros(1, dtype=np.float32)}
+        g = {"w": np.ones(1, dtype=np.float32)}
         p, v = sgd_momentum_step(p, g, v, lr=1.0, momentum=0.9)
-        assert p[0][0] == -1.0 and v[0][0] == 1.0
+        assert p["w"][0] == -1.0 and v["w"][0] == 1.0
         p, v = sgd_momentum_step(p, g, v, lr=1.0, momentum=0.9)
-        assert abs(p[0][0] - (-2.9)) < 1e-6
-        assert abs(v[0][0] - 1.9) < 1e-6
+        assert abs(p["w"][0] - (-2.9)) < 1e-6
+        assert abs(v["w"][0] - 1.9) < 1e-6
 
     def test_zero_momentum_is_plain_sgd(self):
         rs = np.random.RandomState(59)
-        p = [rs.uniform(-1, 1, (3, 3)).astype(np.float32)]
-        g = [rs.uniform(-1, 1, (3, 3)).astype(np.float32)]
-        v = [np.zeros((3, 3), dtype=np.float32)]
+        p = {"w": rs.uniform(-1, 1, (3, 3)).astype(np.float32)}
+        g = {"w": rs.uniform(-1, 1, (3, 3)).astype(np.float32)}
+        v = {"w": np.zeros((3, 3), dtype=np.float32)}
         p2, _ = sgd_momentum_step(p, g, v, lr=0.1, momentum=0.0)
-        assert np.allclose(p2[0], p[0] - np.float32(0.1) * g[0], atol=1e-7)
+        assert np.allclose(p2["w"], p["w"] - np.float32(0.1) * g["w"], atol=1e-7)
 
     def test_inputs_not_mutated(self):
-        p = [np.ones(4, dtype=np.float32)]
-        g = [np.ones(4, dtype=np.float32)]
-        v = [np.ones(4, dtype=np.float32)]
-        p_copy, v_copy = p[0].copy(), v[0].copy()
+        p = {"w": np.ones(4, dtype=np.float32)}
+        g = {"w": np.ones(4, dtype=np.float32)}
+        v = {"w": np.ones(4, dtype=np.float32)}
+        p_copy, v_copy = p["w"].copy(), v["w"].copy()
         sgd_momentum_step(p, g, v, lr=0.5, momentum=0.5)
-        assert np.array_equal(p[0], p_copy)
-        assert np.array_equal(v[0], v_copy)
+        assert np.array_equal(p["w"], p_copy)
+        assert np.array_equal(v["w"], v_copy)
 
     def test_mismatched_lists_rejected(self):
-        p = [np.zeros(2, dtype=np.float32)]
-        with pytest.raises(ShapeError):
-            sgd_momentum_step(p, [], [np.zeros(2, dtype=np.float32)], lr=0.1, momentum=0.9)
+        """params, grads and velocity must hold the same parameter names and shapes;
+        the error names the offending parameter (the least name, if several)."""
+
+        def zeros(**shapes):
+            return {name: np.zeros(shape, dtype=np.float32) for name, shape in shapes.items()}
+
+        p = zeros(w=1, b=2)
+        cases = [
+            (zeros(), zeros(w=1, b=2), "grads and params differ at parameter 'b'"),
+            (zeros(w=1, b=2), zeros(w=1, c=2), "velocity and params differ at parameter 'b'"),
+            (zeros(w=1, b=3), zeros(w=1, b=2), "parameter 'b' has mismatched shapes (2,)/(3,)/(2,)"),
+        ]
+        for grads, velocity, message in cases:
+            with pytest.raises(ShapeError) as err:
+                sgd_momentum_step(p, grads, velocity, lr=0.1, momentum=0.9)
+            assert str(err.value) == message
