@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .bench import bench_activation, compare, save_bench_csv
 from .dataio import gen_synthetic_phases, load_phase_csv, save_phase_csv
@@ -31,10 +30,6 @@ def _parse_ints(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _report_format(path: str) -> str:
-    return "csv" if Path(path).suffix.lower() == ".csv" else "json"
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     kinds = _parse_kinds(args.kinds)
     results, ratios = compare(kinds, n_elements=args.n, repeats=args.repeats, seed=args.seed)
@@ -53,7 +48,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     report = run_experiment(cfg)
-    emit_report([report], args.out, format=_report_format(args.out))
+    emit_report([report], args.out)
     print(
         f"{report.label}: mean_accuracy={report.mean_accuracy:.4f} "
         f"mean_train_seconds={report.mean_train_seconds:.1f}"
@@ -70,7 +65,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         if part.strip()
     ]
     reports = run_grid(cfg, placements, ActivationKind.from_name(args.to))
-    emit_report(reports, args.out, format=_report_format(args.out))
+    emit_report(reports, args.out)
     for rep in reports:
         print(f"{rep.label}: mean_accuracy={rep.mean_accuracy:.4f}")
     print(f"wrote {args.out}")
@@ -182,10 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ActkitError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ActkitError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -13,18 +13,20 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import ImageDataset, gen_synthetic_images, load_cifar10_binary, subset
-from .errors import ActkitError, ConfigError, DomainError, FormatError
+from .errors import ConfigError, DomainError, FormatError
 from .kernels import ActivationKind
 from .modelspec import (
     GroupSelector,
     Model,
     ModelSpec,
+    _is_int,
     build_model,
     fingerprint,
     forward,
@@ -36,10 +38,6 @@ from .tensor import Rng, sgd_momentum_step
 
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -75,33 +73,35 @@ class DataConfig:
             raise ConfigError(f"unknown dataset source {self.source!r}")
         if self.source == "cifar10-binary" and not self.data_dir:
             raise ConfigError("cifar10-binary source needs data_dir")
-        if self.train_size < 1 or self.test_size < 1:
-            raise ConfigError("train_size and test_size must be >= 1")
+        for name in ("train_size", "test_size"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_int(self.subset_seed):
+            raise ConfigError(f"subset_seed must be an integer, got {self.subset_seed!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SurgeryStep:
     selector: GroupSelector
-    from_kind: ActivationKind | None  # None matches any kind
-    to_kind: ActivationKind
+    from_kind: ActivationKind | None = field(default=None, metadata={"json": "from"})  # None matches any kind
+    to_kind: ActivationKind = field(metadata={"json": "to"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     preset: str
-    dataset: DataConfig
-    label: str
+    label: str = "experiment"
     surgery: tuple[SurgeryStep, ...] = ()
+    dataset: DataConfig
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
     seeds: tuple[int, ...] = (1, 2)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "surgery", tuple(self.surgery))
-        if not isinstance(self.seeds, (list, tuple)) or not all(_is_int(s) for s in self.seeds):
-            raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds or not all(_is_int(s) for s in self.seeds):
+            raise ConfigError(f"seeds must be a nonempty list of integers, got {self.seeds!r}")
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        if not self.seeds:
-            raise ConfigError("seeds must not be empty")
 
 
 @dataclass(frozen=True)
@@ -254,84 +254,86 @@ _REPORT_CSV_COLUMNS = [
 ]
 
 
+def _from_json(cls, doc: object, **convert):
+    """Build dataclass `cls` from a JSON object keyed by field names (or a field's "json" metadata),
+    converting the fields named in `convert` first; a missing or unknown key raises ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
+    keys = {f.metadata.get("json", f.name): f for f in fields(cls)}
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {cls.__name__}")
+    kwargs = {}
+    try:
+        for key, f in keys.items():
+            if key in doc:
+                kwargs[f.name] = convert[f.name](doc[key]) if f.name in convert else doc[key]
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing key {key!r} in {cls.__name__}")
+    except (TypeError, AttributeError) as exc:  # the converter for `key` got the wrong JSON type
+        raise ConfigError(f"malformed {key!r} in {cls.__name__}: {exc}") from None
+    return cls(**kwargs)
+
+
 def report_to_json(report: ExperimentReport) -> dict:
     return asdict(report)
 
 
 def report_from_json(doc: dict) -> ExperimentReport:
     """Inverse of report_to_json; a missing or unknown key raises ConfigError."""
-    try:
-        return ExperimentReport(
-            **{
-                **doc,
-                "runs": tuple(SeedRun(**r) for r in doc["runs"]),
-                "hyperparams": Hyperparams(**doc["hyperparams"]),
-                "dataset": DataConfig(**doc["dataset"]),
-            }
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed report document: {exc!r}") from None
+    return _from_json(
+        ExperimentReport,
+        doc,
+        hyperparams=partial(_from_json, Hyperparams),
+        dataset=partial(_from_json, DataConfig),
+        runs=lambda runs: tuple(_from_json(SeedRun, run) for run in runs),
+    )
 
 
-def emit_report(reports: list[ExperimentReport], path: str | Path, format: str = "json") -> None:
-    """Write reports to disk; 'json' keeps full structure, 'csv' emits one row per seed."""
+def emit_report(reports: list[ExperimentReport], path: str | Path) -> None:
+    """Write reports to disk: one row per seed if the path ends in .csv (any case), else JSON."""
     if not reports:
         raise DomainError("no reports to emit")
-    if format == "json":
-        with open(path, "w") as fh:
-            json.dump([report_to_json(r) for r in reports], fh, indent=2)
-            fh.write("\n")
-    elif format == "csv":
-        with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
+        if Path(path).suffix.lower() == ".csv":
             writer = csv.DictWriter(fh, _REPORT_CSV_COLUMNS, extrasaction="ignore", lineterminator="\n")
             writer.writeheader()
             for rep in reports:
                 row = {**asdict(rep), **asdict(rep.hyperparams)}
                 writer.writerows({**row, **asdict(run)} for run in rep.runs)
-    else:
-        raise ConfigError(f"unknown report format {format!r} (expected 'csv' or 'json')")
+        else:
+            json.dump([report_to_json(r) for r in reports], fh, indent=2)
+            fh.write("\n")
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
-    return {
-        "preset": cfg.preset,
-        "label": cfg.label,
-        "surgery": [
-            {
-                "selector": step.selector.as_string(),
-                "from": step.from_kind.value if step.from_kind else None,
-                "to": step.to_kind.value,
-            }
-            for step in cfg.surgery
-        ],
-        "dataset": asdict(cfg.dataset),
-        "hyperparams": asdict(cfg.hyperparams),
-        "seeds": list(cfg.seeds),
-    }
+    surgery = [
+        {
+            "selector": step.selector.as_string(),
+            "from": step.from_kind.value if step.from_kind else None,
+            "to": step.to_kind.value,
+        }
+        for step in cfg.surgery
+    ]
+    return {**asdict(cfg), "surgery": surgery, "seeds": list(cfg.seeds)}
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
-    try:
-        surgery = tuple(
-            SurgeryStep(
-                selector=GroupSelector.from_string(step["selector"]),
-                from_kind=ActivationKind.from_name(step["from"]) if step.get("from") else None,
-                to_kind=ActivationKind.from_name(step["to"]),
-            )
-            for step in doc.get("surgery", [])
-        )
-        return ExperimentConfig(
-            preset=doc["preset"],
-            label=doc.get("label", "experiment"),
-            surgery=surgery,
-            dataset=DataConfig(**doc["dataset"]),
-            hyperparams=Hyperparams(**doc.get("hyperparams", {})),
-            seeds=doc.get("seeds", (1, 2)),
-        )
-    except ActkitError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"malformed experiment config: {exc!r}") from None
+    """Inverse of config_to_json; a missing or unknown key raises ConfigError."""
+    step = partial(
+        _from_json,
+        SurgeryStep,
+        selector=GroupSelector.from_string,
+        from_kind=lambda name: ActivationKind.from_name(name) if name else None,
+        to_kind=ActivationKind.from_name,
+    )
+    return _from_json(
+        ExperimentConfig,
+        doc,
+        surgery=lambda steps: tuple(step(s) for s in steps),
+        dataset=partial(_from_json, DataConfig),
+        hyperparams=partial(_from_json, Hyperparams),
+    )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -37,6 +37,10 @@ BAND_B = "B"
 FULL_SCALE_BLOCKS = (3, 5, 11, 7)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ActivationSite:
     """One named nonlinearity: its id, current kind, band (A/B inside blocks) and 1-based
@@ -72,13 +76,13 @@ class ModelSpec:
             if not stage:
                 raise ConfigError(f"stage {k} has no blocks")
             for blk in stage:
-                if blk.channels < 1 or blk.stride < 1:
+                if not (_is_int(blk.channels) and _is_int(blk.stride)) or blk.channels < 1 or blk.stride < 1:
                     raise ConfigError(f"stage {k} block has bad channels/stride: {blk}")
                 if blk.channels < prev:
                     raise ConfigError("channel counts must be non-decreasing across blocks")
                 prev = blk.channels
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        if not _is_int(self.num_classes) or self.num_classes < 2:
+            raise ConfigError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
 
     @property
     def stem_channels(self) -> int:
@@ -241,8 +245,8 @@ def from_json(doc: dict) -> ModelSpec:
         stages = tuple(
             tuple(
                 BlockSpec(
-                    channels=int(blk["channels"]),
-                    stride=int(blk["stride"]),
+                    channels=blk["channels"],
+                    stride=blk["stride"],
                     act_a=ActivationKind.from_name(blk["act_a"]),
                     act_b=ActivationKind.from_name(blk["act_b"]),
                 )
@@ -251,10 +255,10 @@ def from_json(doc: dict) -> ModelSpec:
             for stage in doc["stages"]
         )
         return ModelSpec(
-            preset_name=str(doc["preset"]),
+            preset_name=doc["preset"],
             stem_act=ActivationKind.from_name(doc["stem"]["act"]),
             stages=stages,
-            num_classes=int(doc["head"]["classes"]),
+            num_classes=doc["head"]["classes"],
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed model spec document: {exc!r}") from None

@@ -172,6 +172,8 @@ class TestTrainAndGrid:
         assert "ConfigError" in capsys.readouterr().err
 
     TRAIN = ["train", "--config", "{cfg}", "--out", "{out}"]
+    DATA = {"source": "synthetic-images", "train_size": 4, "test_size": 3}
+    FORM = {"selector": "all", "form": "relu", "to": "hardswish"}
 
     @pytest.mark.parametrize(
         "argv, config, error",
@@ -187,6 +189,11 @@ class TestTrainAndGrid:
             (TRAIN, {"seeds": [1.7]}, "ConfigError"),
             (TRAIN, {"hyperparams": {"lr": "x"}}, "ConfigError"),
             (TRAIN, {"hyperparams": {"epochs": True}}, "ConfigError"),
+            (TRAIN, {"seed": [7]}, "ConfigError"),
+            (TRAIN, {"hyperparameters": {"lr": 0.5}}, "ConfigError"),
+            (TRAIN, {"surgery": [FORM]}, "ConfigError"),
+            (TRAIN, {"dataset": {**DATA, "train_size": 2.5}}, "ConfigError"),
+            (TRAIN, {"dataset": {**DATA, "subset_seed": True}}, "ConfigError"),
         ],
         ids=[
             "windows",
@@ -200,6 +207,11 @@ class TestTrainAndGrid:
             "seed-float",
             "lr-string",
             "epochs-bool",
+            "unknown-key-seed",
+            "unknown-key-hyperparameters",
+            "step-key-form",
+            "train-size-float",
+            "subset-seed-bool",
         ],
     )
     def test_bad_input_fails_typed(self, argv, config, error, config_json, phase_csv, tmp_path, capsys):

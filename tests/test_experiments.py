@@ -106,6 +106,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             DataConfig(source="cifar10-binary", train_size=10, test_size=10)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("train_size", 2.5),
+            ("train_size", True),
+            ("train_size", 0),
+            ("test_size", "3"),
+            ("subset_seed", 1.5),
+            ("subset_seed", True),
+        ],
+    )
+    def test_data_config_integers_checked(self, field, value):
+        sizes = {"train_size": 4, "test_size": 3, field: value}
+        with pytest.raises(ConfigError, match=field):
+            DataConfig(source="synthetic-images", **sizes)
+
 
 class TestRunExperiment:
     def test_mean_is_arithmetic_mean(self):
@@ -181,8 +197,8 @@ class TestApplySurgeryAndHash:
     def test_apply_surgery_sequences(self):
         spec = preset("mini-x3d")
         steps = (
-            SurgeryStep(MIDDLE, ActivationKind.RELU, HS),
-            SurgeryStep(LAST, None, HS),
+            SurgeryStep(selector=MIDDLE, from_kind=ActivationKind.RELU, to_kind=HS),
+            SurgeryStep(selector=LAST, to_kind=HS),
         )
         out = apply_surgery(spec, steps)
         kinds = {b.act_a for b in (out.stages[1][0], out.stages[2][0])}
@@ -251,7 +267,7 @@ class TestGrid:
 class TestSerialization:
     def test_config_json_round_trip(self):
         cfg = tiny_config(
-            surgery=(SurgeryStep(MIDDLE, ActivationKind.RELU, HS),),
+            surgery=(SurgeryStep(selector=MIDDLE, from_kind=ActivationKind.RELU, to_kind=HS),),
             seeds=(1, 2, 3),
         )
         doc = config_to_json(cfg)
@@ -269,6 +285,34 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             config_from_json({"preset": "mini-resnet"})  # no dataset
 
+    def test_config_defaults_come_from_the_dataclasses(self):
+        dataset = {"source": "synthetic-images", "train_size": 4, "test_size": 3}
+        cfg = config_from_json({"preset": "mini-resnet", "dataset": dataset})
+        assert cfg == ExperimentConfig(preset="mini-resnet", dataset=DataConfig(**dataset))
+        assert cfg.label == "experiment" and cfg.surgery == () and cfg.seeds == (1, 2)
+        assert cfg.hyperparams == Hyperparams(lr=0.01, momentum=0.9, batch_size=32, epochs=5)
+        step = {"selector": "all", "to": "hardswish"}
+        assert config_from_json({**config_to_json(cfg), "surgery": [step]}).surgery[0].from_kind is None
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            ({"seed": [7]}, "unknown key 'seed' in ExperimentConfig"),
+            ({"hyperparameters": {"lr": 0.5}}, "unknown key 'hyperparameters' in ExperimentConfig"),
+            ({"hyperparams": {"learning_rate": 0.5}}, "unknown key 'learning_rate' in Hyperparams"),
+            ({"dataset": {"source": "synthetic-images"}}, "missing key 'train_size' in DataConfig"),
+            ({"surgery": [{"selector": "all", "form": "relu", "to": "hardswish"}]}, "unknown key 'form'"),
+            ({"surgery": [{"selector": "all", "from": "relu"}]}, "missing key 'to' in SurgeryStep"),
+            ({"surgery": [{"selector": ["all"], "to": "hardswish"}]}, "malformed 'selector' in SurgeryStep"),
+            ({"surgery": 5}, "malformed 'surgery' in ExperimentConfig"),
+            ({"surgery": {"selector": "all"}}, "SurgeryStep must be a JSON object"),
+            ({"hyperparams": [0.5]}, "Hyperparams must be a JSON object"),
+        ],
+    )
+    def test_config_from_json_names_the_bad_key(self, edit, named):
+        with pytest.raises(ConfigError, match=named):
+            config_from_json({**config_to_json(tiny_config()), **edit})
+
     def test_report_json_round_trip(self):
         report = run_experiment(tiny_config())
         doc = report_to_json(report)
@@ -277,7 +321,7 @@ class TestSerialization:
     def test_emit_json_round_trip(self, tmp_path):
         report = run_experiment(tiny_config())
         path = tmp_path / "report.json"
-        emit_report([report], path, format="json")
+        emit_report([report], path)
         docs = json.loads(path.read_text())
         assert len(docs) == 1
         assert report_from_json(docs[0]) == report
@@ -295,7 +339,7 @@ class TestSerialization:
             spec_fingerprint="cd",
         )
         path = tmp_path / "report.json"
-        emit_report([report], path, format="json")
+        emit_report([report], path)
         doc = json.loads(path.read_text())[0]
         assert list(doc) == [
             "label",
@@ -318,7 +362,7 @@ class TestSerialization:
     def test_emit_csv_one_row_per_seed(self, tmp_path):
         report = run_experiment(tiny_config(seeds=(1, 2)))
         path = tmp_path / "report.csv"
-        emit_report([report], path, format="csv")
+        emit_report([report], path)
         lines = path.read_text().splitlines()
         assert len(lines) == 3  # header + 2 seeds
         header = lines[0].split(",")
@@ -331,8 +375,8 @@ class TestSerialization:
     def test_emit_report_golden_bytes(self, tmp_path):
         """Exact JSON and CSV bytes: a quoted comma, an integer lr, and floats written as repr."""
         report = hand_built_report()
-        emit_report([report], tmp_path / "r.json", format="json")
-        emit_report([report], tmp_path / "r.csv", format="csv")
+        emit_report([report], tmp_path / "r.json")
+        emit_report([report], tmp_path / "r.csv")
         assert (tmp_path / "r.json").read_bytes() == (
             b'[\n  {\n    "label": "band:a,middle->hardswish",\n    "preset": "mini-x3d",\n'
             b'    "spec_fingerprint": "f00d",\n    "hyperparams": {\n      "lr": 1,\n'
@@ -365,9 +409,13 @@ class TestSerialization:
 
     def test_emit_empty_rejected(self, tmp_path):
         with pytest.raises(DomainError):
-            emit_report([], tmp_path / "r.json", format="json")
+            emit_report([], tmp_path / "r.json")
 
-    def test_emit_unknown_format_rejected(self, tmp_path):
-        report = run_experiment(tiny_config())
-        with pytest.raises(ConfigError):
-            emit_report([report], tmp_path / "r.xml", format="xml")
+    def test_emit_format_follows_suffix(self, tmp_path):
+        """A .csv suffix in any case writes CSV rows; any other suffix writes JSON."""
+        report = hand_built_report()
+        for name in ("r.csv", "r.CSV", "r.xml"):
+            emit_report([report], tmp_path / name)
+        assert (tmp_path / "r.CSV").read_bytes() == (tmp_path / "r.csv").read_bytes()
+        assert (tmp_path / "r.CSV").read_text().startswith("label,preset,lr,")
+        assert [report_from_json(d) for d in json.loads((tmp_path / "r.xml").read_text())] == [report]

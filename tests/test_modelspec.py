@@ -2,6 +2,7 @@
 activation surgery, JSON round-trips, and model construction/execution."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -251,6 +252,16 @@ class TestSerialization:
         del doc["stages"][0]["blocks"][0]["act_a"]
         with pytest.raises(ConfigError):
             from_json(doc)
+        # numbers are checked, not coerced (8.9 channels used to load as 8)
+        for edit, named in [
+            (lambda d: d["stages"][0]["blocks"][0].update(channels=8.9), "channels=8.9"),
+            (lambda d: d["stages"][1]["blocks"][0].update(stride="2"), "stride='2'"),
+            (lambda d: d["head"].update(classes=10.7), "got 10.7"),
+        ]:
+            doc = to_json(preset("mini-resnet"))
+            edit(doc)
+            with pytest.raises(ConfigError, match=re.escape(named)):
+                from_json(doc)
 
     def test_wrong_stage_count_rejected(self):
         doc = to_json(preset("mini-resnet"))

@@ -1,7 +1,10 @@
-"""The README's Python API example runs as written."""
+"""The README's Python API example runs as written, and its example config loads."""
 
+import json
 import re
 from pathlib import Path
+
+from actkit import config_from_json, config_to_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +18,9 @@ def test_python_api_block_runs(capsys):
     assert scope["n_sites"] == 2
     assert set(scope["velocity"]) == set(scope["model"].params)
     assert "stage2.block1.act_b" in capsys.readouterr().out
+
+
+def test_config_block_round_trips():
+    section = README.read_text().split("## Experiment configs", 1)[1]
+    doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert config_to_json(config_from_json(doc)) == doc
