@@ -13,8 +13,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from functools import partial
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,8 @@ from .modelspec import (
     forward,
     loss_and_gradients,
     preset,
+    record_from_json,
+    record_to_json,
     replace_activations,
 )
 from .tensor import Rng, sgd_momentum_step
@@ -98,10 +99,8 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1, 2)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "surgery", tuple(self.surgery))
-        if not isinstance(self.seeds, (list, tuple)) or not self.seeds or not all(_is_int(s) for s in self.seeds):
-            raise ConfigError(f"seeds must be a nonempty list of integers, got {self.seeds!r}")
-        object.__setattr__(self, "seeds", tuple(self.seeds))
+        if not isinstance(self.seeds, tuple) or not self.seeds or not all(_is_int(s) for s in self.seeds):
+            raise ConfigError(f"seeds must be a nonempty tuple of integers, got {self.seeds!r}")
 
 
 @dataclass(frozen=True)
@@ -254,40 +253,13 @@ _REPORT_CSV_COLUMNS = [
 ]
 
 
-def _from_json(cls, doc: object, **convert):
-    """Build dataclass `cls` from a JSON object keyed by field names (or a field's "json" metadata),
-    converting the fields named in `convert` first; a missing or unknown key raises ConfigError."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
-    keys = {f.metadata.get("json", f.name): f for f in fields(cls)}
-    for key in doc:
-        if key not in keys:
-            raise ConfigError(f"unknown key {key!r} in {cls.__name__}")
-    kwargs = {}
-    try:
-        for key, f in keys.items():
-            if key in doc:
-                kwargs[f.name] = convert[f.name](doc[key]) if f.name in convert else doc[key]
-            elif f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"missing key {key!r} in {cls.__name__}")
-    except (TypeError, AttributeError) as exc:  # the converter for `key` got the wrong JSON type
-        raise ConfigError(f"malformed {key!r} in {cls.__name__}: {exc}") from None
-    return cls(**kwargs)
-
-
 def report_to_json(report: ExperimentReport) -> dict:
-    return asdict(report)
+    return record_to_json(report)
 
 
 def report_from_json(doc: dict) -> ExperimentReport:
-    """Inverse of report_to_json; a missing or unknown key raises ConfigError."""
-    return _from_json(
-        ExperimentReport,
-        doc,
-        hyperparams=partial(_from_json, Hyperparams),
-        dataset=partial(_from_json, DataConfig),
-        runs=lambda runs: tuple(_from_json(SeedRun, run) for run in runs),
-    )
+    """Inverse of report_to_json; a missing, unknown or mistyped key raises ConfigError."""
+    return record_from_json(ExperimentReport, doc)
 
 
 def emit_report(reports: list[ExperimentReport], path: str | Path) -> None:
@@ -307,33 +279,12 @@ def emit_report(reports: list[ExperimentReport], path: str | Path) -> None:
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
-    surgery = [
-        {
-            "selector": step.selector.as_string(),
-            "from": step.from_kind.value if step.from_kind else None,
-            "to": step.to_kind.value,
-        }
-        for step in cfg.surgery
-    ]
-    return {**asdict(cfg), "surgery": surgery, "seeds": list(cfg.seeds)}
+    return record_to_json(cfg)
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
-    """Inverse of config_to_json; a missing or unknown key raises ConfigError."""
-    step = partial(
-        _from_json,
-        SurgeryStep,
-        selector=GroupSelector.from_string,
-        from_kind=lambda name: ActivationKind.from_name(name) if name else None,
-        to_kind=ActivationKind.from_name,
-    )
-    return _from_json(
-        ExperimentConfig,
-        doc,
-        surgery=lambda steps: tuple(step(s) for s in steps),
-        dataset=partial(_from_json, DataConfig),
-        hyperparams=partial(_from_json, Hyperparams),
-    )
+    """Inverse of config_to_json; a missing, unknown or mistyped key raises ConfigError."""
+    return record_from_json(ExperimentConfig, doc)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    preset_name: str
+    preset_name: str = field(metadata={"json": "preset"})
     stem_act: ActivationKind
     stages: tuple[tuple[BlockSpec, ...], ...]
     num_classes: int = 10
@@ -167,8 +168,8 @@ def preset(name: str, blocks_per_stage: tuple[int, int, int, int] = (1, 1, 1, 1)
         act_a, act_b = ActivationKind.RELU, ActivationKind.SWISH
     else:
         raise ConfigError(f"unknown preset {name!r} (expected 'mini-resnet' or 'mini-x3d')")
-    if len(blocks_per_stage) != 4 or any(b < 1 for b in blocks_per_stage):
-        raise ConfigError(f"blocks_per_stage must be 4 positive counts, got {blocks_per_stage}")
+    if len(blocks_per_stage) != 4 or not all(_is_int(b) and b >= 1 for b in blocks_per_stage):
+        raise ConfigError(f"blocks_per_stage must be 4 positive integers, got {blocks_per_stage}")
     channels = (8, 16, 32, 32)
     strides = (1, 2, 2, 2)
     stages = []
@@ -216,52 +217,74 @@ def replace_activations(
     return replace(spec, stem_act=stem_act, stages=stages), sum(hits)
 
 
+# Field types written as JSON text, each with its parser.
+_FROM_TEXT = {str: str, ActivationKind: ActivationKind.from_name, GroupSelector: GroupSelector.from_string}
+
+
+def record_to_json(value):
+    """JSON form of a record: a dataclass's fields in order under their JSON keys (a field's
+    "json" metadata, else its name), kinds by name, selectors as text, tuples as lists."""
+    if isinstance(value, GroupSelector):
+        return value.as_string()
+    if isinstance(value, ActivationKind):
+        return value.value
+    if isinstance(value, tuple):
+        return [record_to_json(item) for item in value]
+    if is_dataclass(value):
+        return {f.metadata.get("json", f.name): record_to_json(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def record_from_json(cls, doc: object):
+    """Inverse of record_to_json for dataclass `cls`, read by its field annotations. A missing,
+    unknown or wrongly typed key raises ConfigError naming the key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
+    keys = {f.metadata.get("json", f.name): f for f in fields(cls)}
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {cls.__name__}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, f in keys.items():
+        if key in doc:
+            try:
+                kwargs[f.name] = _decode(hints[f.name], doc[key])
+            except TypeError as exc:
+                raise ConfigError(f"malformed {key!r} in {cls.__name__}: {exc}") from None
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key {key!r} in {cls.__name__}")
+    return cls(**kwargs)
+
+
+def _decode(tp, value):
+    """`value` read as annotation `tp`; a JSON type that cannot hold a `tp` raises TypeError.
+    Numbers pass through unchanged: the records' own checks judge them."""
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _decode(args[0], value)
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            each = f" (each {args[0].__name__} must be a JSON object)" if is_dataclass(args[0]) else ""
+            raise TypeError(f"expected a list, got {value!r}{each}")
+        return tuple(_decode(args[0], item) for item in value)
+    if tp in _FROM_TEXT:
+        if not isinstance(value, str):
+            raise TypeError(f"expected a string, got {value!r}")
+        return _FROM_TEXT[tp](value)
+    if is_dataclass(tp):
+        return record_from_json(tp, value)
+    return value
+
+
 def to_json(spec: ModelSpec) -> dict:
-    """JSON document form: {preset, stem:{act}, stages:[{blocks:[...]}], head:{classes}}."""
-    return {
-        "preset": spec.preset_name,
-        "stem": {"act": spec.stem_act.value},
-        "stages": [
-            {
-                "blocks": [
-                    {
-                        "channels": blk.channels,
-                        "stride": blk.stride,
-                        "act_a": blk.act_a.value,
-                        "act_b": blk.act_b.value,
-                    }
-                    for blk in stage
-                ]
-            }
-            for stage in spec.stages
-        ],
-        "head": {"classes": spec.num_classes},
-    }
+    """JSON document form: {preset, stem_act, stages: [[block, ...], ...], num_classes}."""
+    return record_to_json(spec)
 
 
 def from_json(doc: dict) -> ModelSpec:
     """Inverse of to_json. Round-trips bit-exactly."""
-    try:
-        stages = tuple(
-            tuple(
-                BlockSpec(
-                    channels=blk["channels"],
-                    stride=blk["stride"],
-                    act_a=ActivationKind.from_name(blk["act_a"]),
-                    act_b=ActivationKind.from_name(blk["act_b"]),
-                )
-                for blk in stage["blocks"]
-            )
-            for stage in doc["stages"]
-        )
-        return ModelSpec(
-            preset_name=doc["preset"],
-            stem_act=ActivationKind.from_name(doc["stem"]["act"]),
-            stages=stages,
-            num_classes=doc["head"]["classes"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed model spec document: {exc!r}") from None
+    return record_from_json(ModelSpec, doc)
 
 
 def fingerprint(spec: ModelSpec) -> str:

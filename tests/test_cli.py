@@ -194,6 +194,8 @@ class TestTrainAndGrid:
             (TRAIN, {"surgery": [FORM]}, "ConfigError"),
             (TRAIN, {"dataset": {**DATA, "train_size": 2.5}}, "ConfigError"),
             (TRAIN, {"dataset": {**DATA, "subset_seed": True}}, "ConfigError"),
+            (TRAIN, {"label": 7}, "ConfigError"),
+            (TRAIN, {"dataset": {**DATA, "source": "cifar10-binary", "data_dir": 5}}, "ConfigError"),
         ],
         ids=[
             "windows",
@@ -212,6 +214,8 @@ class TestTrainAndGrid:
             "step-key-form",
             "train-size-float",
             "subset-seed-bool",
+            "label-int",
+            "data-dir-int",
         ],
     )
     def test_bad_input_fails_typed(self, argv, config, error, config_json, phase_csv, tmp_path, capsys):

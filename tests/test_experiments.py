@@ -29,10 +29,12 @@ from actkit import (
     load_datasets,
     param_hash,
     preset,
+    replace_activations,
     run_experiment,
     run_grid,
     site_selector,
 )
+from actkit import from_json as spec_from_json, to_json as spec_to_json
 from actkit.experiments import ExperimentReport, SeedRun, report_from_json, report_to_json
 
 HS = ActivationKind.HARDSWISH
@@ -312,6 +314,19 @@ class TestSerialization:
     def test_config_from_json_names_the_bad_key(self, edit, named):
         with pytest.raises(ConfigError, match=named):
             config_from_json({**config_to_json(tiny_config()), **edit})
+
+    def test_every_record_round_trips_through_json_text(self):
+        spec, _ = replace_activations(preset("mini-x3d"), MIDDLE, None, HS)
+        steps = (
+            SurgeryStep(selector=site_selector("stage1.block1.act_b"), from_kind=None, to_kind=HS),
+            SurgeryStep(selector=LAST, from_kind=ActivationKind.RELU, to_kind=HS),
+        )
+        for value, to_json, from_json in [
+            (spec, spec_to_json, spec_from_json),
+            (tiny_config(surgery=steps), config_to_json, config_from_json),
+            (hand_built_report(), report_to_json, report_from_json),
+        ]:
+            assert from_json(json.loads(json.dumps(to_json(value)))) == value
 
     def test_report_json_round_trip(self):
         report = run_experiment(tiny_config())

@@ -1,6 +1,7 @@
 """Model specification tests: presets, site listing, selector algebra,
 activation surgery, JSON round-trips, and model construction/execution."""
 
+import json
 import os
 import re
 import subprocess
@@ -93,6 +94,11 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):
             preset("resnet50")
+
+    @pytest.mark.parametrize("blocks", [(1.5, 1, 1, 1), (True, 1, 1, 1)])
+    def test_block_counts_must_be_positive_integers(self, blocks):
+        with pytest.raises(ConfigError, match="blocks_per_stage must be 4 positive integers"):
+            preset("mini-x3d", blocks)
 
     def test_site_order_stable(self):
         spec = preset("mini-x3d", blocks_per_stage=(2, 1, 1, 1))
@@ -235,8 +241,21 @@ class TestSerialization:
 
     def test_kinds_serialize_as_lowercase_strings(self):
         doc = to_json(preset("mini-x3d"))
-        assert doc["stem"]["act"] == "relu"
-        assert doc["stages"][0]["blocks"][0]["act_b"] == "swish"
+        assert doc["stem_act"] == "relu"
+        assert doc["stages"][0][0]["act_b"] == "swish"
+
+    def test_document_golden_bytes(self):
+        """The spec document's exact text and its fingerprint: a format change is deliberate."""
+        spec = preset("mini-x3d")
+        assert json.dumps(to_json(spec)) == (
+            '{"preset": "mini-x3d", "stem_act": "relu", "stages": ['
+            '[{"channels": 8, "stride": 1, "act_a": "relu", "act_b": "swish"}], '
+            '[{"channels": 16, "stride": 2, "act_a": "relu", "act_b": "swish"}], '
+            '[{"channels": 32, "stride": 2, "act_a": "relu", "act_b": "swish"}], '
+            '[{"channels": 32, "stride": 2, "act_a": "relu", "act_b": "swish"}]], '
+            '"num_classes": 10}'
+        )
+        assert fingerprint(spec) == "bbef56c107cbbf5bed8d48400e307fce98c597b8655566a07a4e550415c73fdb"
 
     def test_fingerprint_stable_and_sensitive(self):
         a = fingerprint(preset("mini-resnet"))
@@ -249,14 +268,18 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             from_json({"preset": "x"})
         doc = to_json(preset("mini-resnet"))
-        del doc["stages"][0]["blocks"][0]["act_a"]
+        del doc["stages"][0][0]["act_a"]
         with pytest.raises(ConfigError):
             from_json(doc)
-        # numbers are checked, not coerced (8.9 channels used to load as 8)
+        # numbers are checked, not coerced (8.9 channels used to load as 8); text is text;
+        # a misspelt key is named, never skipped
         for edit, named in [
-            (lambda d: d["stages"][0]["blocks"][0].update(channels=8.9), "channels=8.9"),
-            (lambda d: d["stages"][1]["blocks"][0].update(stride="2"), "stride='2'"),
-            (lambda d: d["head"].update(classes=10.7), "got 10.7"),
+            (lambda d: d["stages"][0][0].update(channels=8.9), "channels=8.9"),
+            (lambda d: d["stages"][1][0].update(stride="2"), "stride='2'"),
+            (lambda d: d.update(num_classes=10.7), "got 10.7"),
+            (lambda d: d.update(preset=5), "malformed 'preset' in ModelSpec: expected a string, got 5"),
+            (lambda d: d.update(clases=10), "unknown key 'clases' in ModelSpec"),
+            (lambda d: d["stages"][2][0].update(chanels=32), "unknown key 'chanels' in BlockSpec"),
         ]:
             doc = to_json(preset("mini-resnet"))
             edit(doc)
