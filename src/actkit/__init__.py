@@ -31,8 +31,6 @@ from .experiments import (
     SeedRun,
     SurgeryStep,
     apply_surgery,
-    config_from_json,
-    config_to_json,
     emit_report,
     evaluate,
     load_config,
@@ -67,13 +65,13 @@ from .modelspec import (
     build_model,
     fingerprint,
     forward,
-    from_json,
     list_sites,
     loss_and_gradients,
     preset,
+    record_from_json,
+    record_to_json,
     replace_activations,
     site_selector,
-    to_json,
 )
 from .smoother import (
     WindowSweepRow,

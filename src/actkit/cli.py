@@ -19,19 +19,19 @@ from .modelspec import GroupSelector, list_sites, preset
 from .smoother import save_sweep_csv, sweep_window
 
 
-def _parse_kinds(text: str) -> list[ActivationKind]:
-    return [ActivationKind.from_name(part.strip()) for part in text.split(",") if part.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
+def _parse_list(text: str, parse) -> list:
+    """`parse` applied to each item of a comma-separated list. actkit's own errors pass
+    through; any other ValueError (say, from int) becomes a ConfigError."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+        return [parse(part.strip()) for part in text.split(",") if part.strip()]
+    except ActkitError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse the list {text!r}: {exc}") from None
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    kinds = _parse_kinds(args.kinds)
+    kinds = _parse_list(args.kinds, ActivationKind.from_name)
     results, ratios = compare(kinds, n_elements=args.n, repeats=args.repeats, seed=args.seed)
     print(f"{'kind':<10} {'n':>10} {'repeats':>7} {'ns/elem':>10} {'vs relu':>8}")
     for res, ratio in zip(results, ratios):
@@ -59,11 +59,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    placements = [
-        GroupSelector.from_string(part.strip())
-        for part in args.placements.split(",")
-        if part.strip()
-    ]
+    placements = _parse_list(args.placements, GroupSelector.from_string)
     reports = run_grid(cfg, placements, ActivationKind.from_name(args.to))
     emit_report(reports, args.out)
     for rep in reports:
@@ -74,7 +70,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 def _cmd_smooth(args: argparse.Namespace) -> int:
     seq = load_phase_csv(args.input)
-    rows, best_w = sweep_window(seq, _parse_ints(args.windows))
+    rows, best_w = sweep_window(seq, _parse_list(args.windows, int))
     save_sweep_csv(rows, args.out)
     for row in rows:
         marker = "  <- best" if row.w == best_w else ""
@@ -98,8 +94,7 @@ def _cmd_gen_phases(args: argparse.Namespace) -> int:
 
 
 def _cmd_sites(args: argparse.Namespace) -> int:
-    blocks = tuple(_parse_ints(args.blocks)) if args.blocks else (1, 1, 1, 1)
-    spec = preset(args.preset, blocks_per_stage=blocks)
+    spec = preset(args.preset, blocks_per_stage=tuple(_parse_list(args.blocks, int)))
     sites = list_sites(spec)
     print(f"{'site':<24} {'band':<5} kind")
     for site in sites:
@@ -158,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sites = sub.add_parser("sites", help="List a preset's activation sites.")
     p_sites.add_argument("--preset", required=True)
-    p_sites.add_argument("--blocks", default=None, help="Blocks per stage, e.g. 3,5,11,7.")
+    p_sites.add_argument("--blocks", default="1,1,1,1", help="Blocks per stage, e.g. 3,5,11,7.")
     p_sites.set_defaults(func=_cmd_sites)
 
     p_approx = sub.add_parser("approx", help="Max pointwise gap between two activations.")

@@ -10,8 +10,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -25,6 +23,7 @@ from .modelspec import (
     GroupSelector,
     Model,
     ModelSpec,
+    _is_finite,
     _is_int,
     build_model,
     fingerprint,
@@ -51,7 +50,7 @@ class Hyperparams:
     def __post_init__(self) -> None:
         for name in ("lr", "momentum"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+            if not _is_finite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
@@ -253,15 +252,6 @@ _REPORT_CSV_COLUMNS = [
 ]
 
 
-def report_to_json(report: ExperimentReport) -> dict:
-    return record_to_json(report)
-
-
-def report_from_json(doc: dict) -> ExperimentReport:
-    """Inverse of report_to_json; a missing, unknown or mistyped key raises ConfigError."""
-    return record_from_json(ExperimentReport, doc)
-
-
 def emit_report(reports: list[ExperimentReport], path: str | Path) -> None:
     """Write reports to disk: one row per seed if the path ends in .csv (any case), else JSON."""
     if not reports:
@@ -274,17 +264,8 @@ def emit_report(reports: list[ExperimentReport], path: str | Path) -> None:
                 row = {**asdict(rep), **asdict(rep.hyperparams)}
                 writer.writerows({**row, **asdict(run)} for run in rep.runs)
         else:
-            json.dump([report_to_json(r) for r in reports], fh, indent=2)
+            json.dump([record_to_json(r) for r in reports], fh, indent=2)
             fh.write("\n")
-
-
-def config_to_json(cfg: ExperimentConfig) -> dict:
-    return record_to_json(cfg)
-
-
-def config_from_json(doc: dict) -> ExperimentConfig:
-    """Inverse of config_to_json; a missing, unknown or mistyped key raises ConfigError."""
-    return record_from_json(ExperimentConfig, doc)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -293,4 +274,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    return config_from_json(doc)
+    return record_from_json(ExperimentConfig, doc)

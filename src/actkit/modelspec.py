@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -40,6 +42,10 @@ FULL_SCALE_BLOCKS = (3, 5, 11, 7)
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -90,54 +96,49 @@ class ModelSpec:
         return self.stages[0][0].channels
 
 
+# The named site groups, each with the test a site must pass to belong to it.
+_GROUPS = {
+    "initial": lambda site: site.site_id == "stem.act",
+    "middle": lambda site: site.stage in (2, 3),
+    "last": lambda site: site.stage == 4,
+    "all": lambda site: True,
+    "band:a": lambda site: site.band == BAND_A,
+    "band:b": lambda site: site.band == BAND_B,
+}
+
+
 @dataclass(frozen=True)
 class GroupSelector:
-    """Addresses a set of activation sites: a named layer group, a band, or one site."""
+    """Addresses a set of activation sites by its text: a named group (initial, middle, last,
+    all, band:a, band:b) or one site, "site:<id>". The constructor accepts any case and spaces
+    around the text or after the colon, and stores the canonical text; a site id keeps its case."""
 
-    scope: str
-    band: str | None = None
-    site_id: str | None = None
-
-    _SCOPES = ("initial", "middle", "last", "all", "band", "site")
+    text: str
 
     def __post_init__(self) -> None:
-        if self.scope not in self._SCOPES:
-            raise ConfigError(f"unknown selector scope {self.scope!r}")
-        if self.scope == "band" and self.band not in (BAND_A, BAND_B):
-            raise ConfigError(f"band selector needs band 'A' or 'B', got {self.band!r}")
-        if self.scope == "site" and not self.site_id:
-            raise ConfigError("site selector needs a site id")
+        head, colon, rest = self.text.strip().partition(":")
+        head, rest = head.lower(), rest.strip()
+        if head == "site" and rest:
+            text = f"site:{rest}"
+        else:
+            text = f"{head}{colon}{rest.lower()}"
+            if text not in _GROUPS:
+                raise ConfigError(
+                    f"cannot parse selector {self.text!r} (expected {', '.join(_GROUPS)} or site:<id>)"
+                )
+        object.__setattr__(self, "text", text)
 
     def as_string(self) -> str:
-        if self.scope == "band":
-            return f"band:{self.band.lower()}"
-        if self.scope == "site":
-            return f"site:{self.site_id}"
-        return self.scope
+        return self.text
 
     @classmethod
     def from_string(cls, text: str) -> "GroupSelector":
-        t = text.strip().lower()
-        if t in ("initial", "middle", "last", "all"):
-            return cls(t)
-        if t.startswith("band:"):
-            return cls("band", band=t.split(":", 1)[1].strip().upper())
-        if t.startswith("site:"):
-            return cls("site", site_id=text.strip().split(":", 1)[1].strip())
-        raise ConfigError(f"cannot parse selector {text!r}")
+        return cls(text)
 
     def matches(self, site: ActivationSite) -> bool:
-        if self.scope == "all":
-            return True
-        if self.scope == "initial":
-            return site.site_id == "stem.act"
-        if self.scope == "middle":
-            return site.stage in (2, 3)
-        if self.scope == "last":
-            return site.stage == 4
-        if self.scope == "band":
-            return site.band == self.band
-        return site.site_id == self.site_id
+        if self.text in _GROUPS:
+            return _GROUPS[self.text](site)
+        return self.text == f"site:{site.site_id}"
 
 
 INITIAL = GroupSelector("initial")
@@ -147,11 +148,11 @@ ALL = GroupSelector("all")
 
 
 def band_selector(band: str) -> GroupSelector:
-    return GroupSelector("band", band=band.upper())
+    return GroupSelector(f"band:{band}")
 
 
 def site_selector(site_id: str) -> GroupSelector:
-    return GroupSelector("site", site_id=site_id)
+    return GroupSelector(f"site:{site_id}")
 
 
 def preset(name: str, blocks_per_stage: tuple[int, int, int, int] = (1, 1, 1, 1)) -> ModelSpec:
@@ -205,9 +206,10 @@ def replace_activations(
     (from_kind=None matches any). Returns the new spec and the changed-site count;
     a site already at to_kind that matches still counts as changed."""
     sites = list_sites(spec)
-    if selector.scope == "site" and selector.site_id not in {s.site_id for s in sites}:
-        raise ConfigError(f"no such activation site: {selector.site_id!r}")
-    hits = [selector.matches(s) and from_kind in (None, s.kind) for s in sites]
+    matched = [selector.matches(s) for s in sites]
+    if not any(matched):
+        raise ConfigError(f"selector {selector.as_string()!r} matches no activation site")
+    hits = [m and from_kind in (None, s.kind) for s, m in zip(sites, matched)]
     kinds = (to_kind if hit else s.kind for s, hit in zip(sites, hits))
     stem_act = next(kinds)
     stages = tuple(
@@ -259,7 +261,7 @@ def record_from_json(cls, doc: object):
 
 def _decode(tp, value):
     """`value` read as annotation `tp`; a JSON type that cannot hold a `tp` raises TypeError.
-    Numbers pass through unchanged: the records' own checks judge them."""
+    An int takes only an integer and a float any finite number; neither takes a bool."""
     args = get_args(tp)
     if type(None) in args:  # X | None
         return None if value is None else _decode(args[0], value)
@@ -274,22 +276,16 @@ def _decode(tp, value):
         return _FROM_TEXT[tp](value)
     if is_dataclass(tp):
         return record_from_json(tp, value)
+    if tp is int and not _is_int(value):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if tp is float and not _is_finite(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
     return value
-
-
-def to_json(spec: ModelSpec) -> dict:
-    """JSON document form: {preset, stem_act, stages: [[block, ...], ...], num_classes}."""
-    return record_to_json(spec)
-
-
-def from_json(doc: dict) -> ModelSpec:
-    """Inverse of to_json. Round-trips bit-exactly."""
-    return record_from_json(ModelSpec, doc)
 
 
 def fingerprint(spec: ModelSpec) -> str:
     """Stable hex digest of the serialized spec; changes iff the spec changes."""
-    blob = json.dumps(to_json(spec), sort_keys=True, separators=(",", ":")).encode()
+    blob = json.dumps(record_to_json(spec), sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -196,6 +196,8 @@ class TestTrainAndGrid:
             (TRAIN, {"dataset": {**DATA, "subset_seed": True}}, "ConfigError"),
             (TRAIN, {"label": 7}, "ConfigError"),
             (TRAIN, {"dataset": {**DATA, "source": "cifar10-binary", "data_dir": 5}}, "ConfigError"),
+            (["bench", "--kinds", "relu,bogus"], None, "DomainError"),
+            (["grid", "--config", "{cfg}", "--placements", "all,bogus", "--out", "{out}"], None, "ConfigError"),
         ],
         ids=[
             "windows",
@@ -216,6 +218,8 @@ class TestTrainAndGrid:
             "subset-seed-bool",
             "label-int",
             "data-dir-int",
+            "kinds-bogus",
+            "placements-bogus",
         ],
     )
     def test_bad_input_fails_typed(self, argv, config, error, config_json, phase_csv, tmp_path, capsys):

@@ -3,6 +3,7 @@ the placement grid, and config/report serialization. Training runs here are
 kept tiny; the desk-scale learning check lives in the acceptance suite."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from actkit import (
     SurgeryStep,
     apply_surgery,
     build_model,
-    config_from_json,
-    config_to_json,
     emit_report,
     evaluate,
     gen_synthetic_images,
@@ -34,8 +33,8 @@ from actkit import (
     run_grid,
     site_selector,
 )
-from actkit import from_json as spec_from_json, to_json as spec_to_json
-from actkit.experiments import ExperimentReport, SeedRun, report_from_json, report_to_json
+from actkit import ModelSpec, record_from_json, record_to_json
+from actkit.experiments import ExperimentReport, SeedRun
 
 HS = ActivationKind.HARDSWISH
 
@@ -272,29 +271,29 @@ class TestSerialization:
             surgery=(SurgeryStep(selector=MIDDLE, from_kind=ActivationKind.RELU, to_kind=HS),),
             seeds=(1, 2, 3),
         )
-        doc = config_to_json(cfg)
-        back = config_from_json(doc)
+        doc = record_to_json(cfg)
+        back = record_from_json(ExperimentConfig, doc)
         assert back == cfg
-        assert config_to_json(back) == doc
+        assert record_to_json(back) == doc
 
     def test_config_json_is_plain_data(self):
-        doc = config_to_json(tiny_config())
+        doc = record_to_json(tiny_config())
         json.dumps(doc)  # must be serializable as-is
         assert doc["surgery"] == []
         assert doc["hyperparams"]["lr"] == 0.01
 
     def test_malformed_config_rejected(self):
         with pytest.raises(ConfigError):
-            config_from_json({"preset": "mini-resnet"})  # no dataset
+            record_from_json(ExperimentConfig, {"preset": "mini-resnet"})  # no dataset
 
     def test_config_defaults_come_from_the_dataclasses(self):
         dataset = {"source": "synthetic-images", "train_size": 4, "test_size": 3}
-        cfg = config_from_json({"preset": "mini-resnet", "dataset": dataset})
+        cfg = record_from_json(ExperimentConfig, {"preset": "mini-resnet", "dataset": dataset})
         assert cfg == ExperimentConfig(preset="mini-resnet", dataset=DataConfig(**dataset))
         assert cfg.label == "experiment" and cfg.surgery == () and cfg.seeds == (1, 2)
         assert cfg.hyperparams == Hyperparams(lr=0.01, momentum=0.9, batch_size=32, epochs=5)
         step = {"selector": "all", "to": "hardswish"}
-        assert config_from_json({**config_to_json(cfg), "surgery": [step]}).surgery[0].from_kind is None
+        assert record_from_json(ExperimentConfig, {**record_to_json(cfg), "surgery": [step]}).surgery[0].from_kind is None
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -313,7 +312,7 @@ class TestSerialization:
     )
     def test_config_from_json_names_the_bad_key(self, edit, named):
         with pytest.raises(ConfigError, match=named):
-            config_from_json({**config_to_json(tiny_config()), **edit})
+            record_from_json(ExperimentConfig, {**record_to_json(tiny_config()), **edit})
 
     def test_every_record_round_trips_through_json_text(self):
         spec, _ = replace_activations(preset("mini-x3d"), MIDDLE, None, HS)
@@ -321,17 +320,13 @@ class TestSerialization:
             SurgeryStep(selector=site_selector("stage1.block1.act_b"), from_kind=None, to_kind=HS),
             SurgeryStep(selector=LAST, from_kind=ActivationKind.RELU, to_kind=HS),
         )
-        for value, to_json, from_json in [
-            (spec, spec_to_json, spec_from_json),
-            (tiny_config(surgery=steps), config_to_json, config_from_json),
-            (hand_built_report(), report_to_json, report_from_json),
-        ]:
-            assert from_json(json.loads(json.dumps(to_json(value)))) == value
+        for value in [spec, tiny_config(surgery=steps), hand_built_report()]:
+            assert record_from_json(type(value), json.loads(json.dumps(record_to_json(value)))) == value
 
     def test_report_json_round_trip(self):
         report = run_experiment(tiny_config())
-        doc = report_to_json(report)
-        assert report_from_json(doc) == report
+        doc = record_to_json(report)
+        assert record_from_json(ExperimentReport, doc) == report
 
     def test_emit_json_round_trip(self, tmp_path):
         report = run_experiment(tiny_config())
@@ -339,7 +334,7 @@ class TestSerialization:
         emit_report([report], path)
         docs = json.loads(path.read_text())
         assert len(docs) == 1
-        assert report_from_json(docs[0]) == report
+        assert record_from_json(ExperimentReport, docs[0]) == report
 
     def test_emitted_json_key_order(self, tmp_path):
         cfg = tiny_config()
@@ -369,7 +364,7 @@ class TestSerialization:
         assert list(doc["hyperparams"]) == ["lr", "momentum", "batch_size", "epochs"]
         assert list(doc["dataset"]) == ["source", "train_size", "test_size", "data_dir", "subset_seed"]
         assert list(doc["runs"][0]) == ["seed", "test_accuracy", "train_seconds", "init_param_hash"]
-        cfg_doc = config_to_json(cfg)
+        cfg_doc = record_to_json(cfg)
         assert list(cfg_doc) == ["preset", "label", "surgery", "dataset", "hyperparams", "seeds"]
         assert list(cfg_doc["dataset"]) == list(doc["dataset"])
         assert list(cfg_doc["hyperparams"]) == list(doc["hyperparams"])
@@ -414,13 +409,34 @@ class TestSerialization:
         )
 
     def test_report_from_json_rejects_unknown_keys(self):
-        doc = report_to_json(hand_built_report())
-        assert report_from_json(doc) == hand_built_report()
+        doc = record_to_json(hand_built_report())
+        assert record_from_json(ExperimentReport, doc) == hand_built_report()
         with pytest.raises(ConfigError, match="extra"):
-            report_from_json({**doc, "extra": 1})
+            record_from_json(ExperimentReport, {**doc, "extra": 1})
         doc["runs"][0]["extra"] = 1
         with pytest.raises(ConfigError, match="extra"):
-            report_from_json(doc)
+            record_from_json(ExperimentReport, doc)
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda d: d["runs"][0].update(seed=1.5), "malformed 'seed' in SeedRun: expected an integer, got 1.5"),
+            (
+                lambda d: d["runs"][1].update(test_accuracy="x"),
+                "malformed 'test_accuracy' in SeedRun: expected a finite number, got 'x'",
+            ),
+            (
+                lambda d: d.update(mean_accuracy=[1]),
+                "malformed 'mean_accuracy' in ExperimentReport: expected a finite number, got [1]",
+            ),
+        ],
+        ids=["seed-float", "accuracy-string", "mean-list"],
+    )
+    def test_report_numbers_checked(self, edit, named):
+        doc = record_to_json(hand_built_report())
+        edit(doc)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            record_from_json(ExperimentReport, doc)
 
     def test_emit_empty_rejected(self, tmp_path):
         with pytest.raises(DomainError):
@@ -433,4 +449,4 @@ class TestSerialization:
             emit_report([report], tmp_path / name)
         assert (tmp_path / "r.CSV").read_bytes() == (tmp_path / "r.csv").read_bytes()
         assert (tmp_path / "r.CSV").read_text().startswith("label,preset,lr,")
-        assert [report_from_json(d) for d in json.loads((tmp_path / "r.xml").read_text())] == [report]
+        assert [record_from_json(ExperimentReport, d) for d in json.loads((tmp_path / "r.xml").read_text())] == [report]

@@ -23,6 +23,7 @@ from actkit import (
     ActivationKind,
     ConfigError,
     GroupSelector,
+    ModelSpec,
     Rng,
     activate_batch,
     band_selector,
@@ -31,15 +32,15 @@ from actkit import (
     dense_forward,
     fingerprint,
     forward,
-    from_json,
     global_avg_pool,
     list_sites,
     loss_and_gradients,
     preset,
+    record_from_json,
+    record_to_json,
     replace_activations,
     site_selector,
     softmax_cross_entropy,
-    to_json,
 )
 
 RELU = ActivationKind.RELU
@@ -121,9 +122,34 @@ class TestSelectors:
         for sel in (INITIAL, MIDDLE, LAST, ALL, band_selector(BAND_A), site_selector("stem.act")):
             assert GroupSelector.from_string(sel.as_string()) == sel
 
+    @pytest.mark.parametrize(
+        "text, canonical, selector",
+        [
+            ("initial", "initial", INITIAL),
+            ("Initial", "initial", INITIAL),
+            ("  MIDDLE\t", "middle", MIDDLE),
+            ("last ", "last", LAST),
+            ("ALL", "all", ALL),
+            ("band:a", "band:a", band_selector(BAND_A)),
+            ("band: a", "band:a", band_selector(BAND_A)),
+            (" Band:A ", "band:a", band_selector(BAND_A)),
+            ("BAND:B", "band:b", band_selector(BAND_B)),
+            ("band:b", "band:b", band_selector("b")),
+            ("site:stem.act", "site:stem.act", site_selector("stem.act")),
+            ("Site:stage1.block1.act_a", "site:stage1.block1.act_a", site_selector("stage1.block1.act_a")),
+            (" SITE: Stage1.Block1.ACT_A ", "site:Stage1.Block1.ACT_A", site_selector("Stage1.Block1.ACT_A")),
+        ],
+    )
+    def test_from_string_canonical_form(self, text, canonical, selector):
+        """Every accepted spelling parses to one selector, whose text is the canonical form."""
+        sel = GroupSelector.from_string(text)
+        assert sel.as_string() == canonical
+        assert sel == selector == GroupSelector.from_string(canonical)
+
     def test_unknown_string_rejected(self):
-        with pytest.raises(ConfigError):
-            GroupSelector.from_string("everything")
+        for text in ("everything", "band", "band:c", "site:", "band :a", "initial:", "", "middle,last"):
+            with pytest.raises(ConfigError):
+                GroupSelector.from_string(text)
 
     def _changed_ids(self, spec, selector):
         new, _ = replace_activations(spec, selector, None, HS)
@@ -210,9 +236,9 @@ class TestSurgery:
 
     def test_original_spec_unchanged(self):
         spec = preset("mini-resnet")
-        before = to_json(spec)
+        before = record_to_json(spec)
         replace_activations(spec, ALL, None, HS)
-        assert to_json(spec) == before
+        assert record_to_json(spec) == before
 
     def test_idempotence(self):
         spec = preset("mini-resnet")
@@ -231,23 +257,23 @@ class TestSerialization:
     def test_round_trip_exact(self):
         for name in ("mini-resnet", "mini-x3d"):
             spec = preset(name, blocks_per_stage=(2, 1, 3, 1))
-            doc = to_json(spec)
-            assert from_json(doc) == spec
-            assert to_json(from_json(doc)) == doc
+            doc = record_to_json(spec)
+            assert record_from_json(ModelSpec, doc) == spec
+            assert record_to_json(record_from_json(ModelSpec, doc)) == doc
 
     def test_round_trip_after_surgery(self):
         spec, _ = replace_activations(preset("mini-x3d"), MIDDLE, RELU, HS)
-        assert from_json(to_json(spec)) == spec
+        assert record_from_json(ModelSpec, record_to_json(spec)) == spec
 
     def test_kinds_serialize_as_lowercase_strings(self):
-        doc = to_json(preset("mini-x3d"))
+        doc = record_to_json(preset("mini-x3d"))
         assert doc["stem_act"] == "relu"
         assert doc["stages"][0][0]["act_b"] == "swish"
 
     def test_document_golden_bytes(self):
         """The spec document's exact text and its fingerprint: a format change is deliberate."""
         spec = preset("mini-x3d")
-        assert json.dumps(to_json(spec)) == (
+        assert json.dumps(record_to_json(spec)) == (
             '{"preset": "mini-x3d", "stem_act": "relu", "stages": ['
             '[{"channels": 8, "stride": 1, "act_a": "relu", "act_b": "swish"}], '
             '[{"channels": 16, "stride": 2, "act_a": "relu", "act_b": "swish"}], '
@@ -266,31 +292,31 @@ class TestSerialization:
 
     def test_malformed_document_rejected(self):
         with pytest.raises(ConfigError):
-            from_json({"preset": "x"})
-        doc = to_json(preset("mini-resnet"))
+            record_from_json(ModelSpec, {"preset": "x"})
+        doc = record_to_json(preset("mini-resnet"))
         del doc["stages"][0][0]["act_a"]
         with pytest.raises(ConfigError):
-            from_json(doc)
+            record_from_json(ModelSpec, doc)
         # numbers are checked, not coerced (8.9 channels used to load as 8); text is text;
         # a misspelt key is named, never skipped
         for edit, named in [
-            (lambda d: d["stages"][0][0].update(channels=8.9), "channels=8.9"),
-            (lambda d: d["stages"][1][0].update(stride="2"), "stride='2'"),
+            (lambda d: d["stages"][0][0].update(channels=8.9), "malformed 'channels' in BlockSpec: expected an integer, got 8.9"),
+            (lambda d: d["stages"][1][0].update(stride="2"), "malformed 'stride' in BlockSpec: expected an integer, got '2'"),
             (lambda d: d.update(num_classes=10.7), "got 10.7"),
             (lambda d: d.update(preset=5), "malformed 'preset' in ModelSpec: expected a string, got 5"),
             (lambda d: d.update(clases=10), "unknown key 'clases' in ModelSpec"),
             (lambda d: d["stages"][2][0].update(chanels=32), "unknown key 'chanels' in BlockSpec"),
         ]:
-            doc = to_json(preset("mini-resnet"))
+            doc = record_to_json(preset("mini-resnet"))
             edit(doc)
             with pytest.raises(ConfigError, match=re.escape(named)):
-                from_json(doc)
+                record_from_json(ModelSpec, doc)
 
     def test_wrong_stage_count_rejected(self):
-        doc = to_json(preset("mini-resnet"))
+        doc = record_to_json(preset("mini-resnet"))
         doc["stages"] = doc["stages"][:3]
         with pytest.raises(ConfigError):
-            from_json(doc)
+            record_from_json(ModelSpec, doc)
 
 
 class TestBuildModel:

@@ -4,7 +4,7 @@ import json
 import re
 from pathlib import Path
 
-from actkit import config_from_json, config_to_json
+from actkit import ExperimentConfig, record_from_json, record_to_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,6 +16,7 @@ def test_python_api_block_runs(capsys):
     exec(compile(block, "README.md (Python API)", "exec"), scope)
     assert scope["logits"].shape == (2, 10)
     assert scope["n_sites"] == 2
+    assert json.loads(scope["doc"])["preset"] == "mini-x3d"
     assert set(scope["velocity"]) == set(scope["model"].params)
     assert "stage2.block1.act_b" in capsys.readouterr().out
 
@@ -23,4 +24,4 @@ def test_python_api_block_runs(capsys):
 def test_config_block_round_trips():
     section = README.read_text().split("## Experiment configs", 1)[1]
     doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
-    assert config_to_json(config_from_json(doc)) == doc
+    assert record_to_json(record_from_json(ExperimentConfig, doc)) == doc
