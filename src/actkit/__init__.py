@@ -6,7 +6,6 @@ from .bench import (
     MIN_ELEMENTS,
     MIN_REPEATS,
     BenchResult,
-    bench_activation,
     compare,
     make_bench_input,
     save_bench_csv,

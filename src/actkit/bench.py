@@ -1,14 +1,13 @@
 """Single-threaded throughput microbenchmarks for the activation kernels.
 
-Inputs are seeded uniforms over [-6, 6] so every piecewise branch is exercised;
-the checksum over all timed outputs keeps the work observable and ties timing to
-real computation. Median over repeats is reported to shrug off scheduler noise.
+Every kind is timed on one buffer of seeded uniforms over [-6, 6], so every piecewise
+branch is exercised; the checksum over all timed outputs keeps the work observable and
+ties timing to real computation. Median over repeats is reported to shrug off scheduler noise.
 """
 
 from __future__ import annotations
 
 import csv
-import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ class BenchResult:
     repeats: int
     median_ns_per_element: float
     checksum: float
-    repeat_ns: tuple[int, ...]  # raw per-repeat wall times backing the median
+    ratio_vs_relu: float
 
 
 def make_bench_input(n_elements: int, seed: int) -> np.ndarray:
@@ -39,60 +38,41 @@ def make_bench_input(n_elements: int, seed: int) -> np.ndarray:
     return (u * 12.0 - 6.0).astype(np.float32)
 
 
-def bench_activation(kind: ActivationKind, n_elements: int, repeats: int, seed: int) -> BenchResult:
-    """Time `repeats` full activate_batch passes over one seeded buffer.
+def compare(kinds: list[ActivationKind], n_elements: int, repeats: int, seed: int) -> list[BenchResult]:
+    """Time each distinct kind on one seeded buffer; one result per listed kind, in order.
 
-    Two untimed warmup passes run first. The checksum accumulates the float64 sum
-    of every timed pass's outputs, so identical seeds give identical checksums.
+    A kind gets two untimed activate_batch passes, then `repeats` timed ones. Its checksum is
+    the float64 sum of every timed pass's outputs, so identical seeds give identical checksums.
+    Each ratio is the kind's median over ReLU's; ReLU is timed last when it is not listed.
     """
+    if not kinds:
+        raise DomainError("kinds list must not be empty")
     if n_elements < MIN_ELEMENTS:
         raise DomainError(f"n_elements must be >= {MIN_ELEMENTS} for stable medians, got {n_elements}")
     if repeats < MIN_REPEATS:
         raise DomainError(f"repeats must be >= {MIN_REPEATS}, got {repeats}")
     xs = make_bench_input(n_elements, seed)
-    for _ in range(2):
-        activate_batch(kind, xs)
-    totals = []
-    checksum = 0.0
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        out = activate_batch(kind, xs)
-        t1 = time.perf_counter_ns()
-        totals.append(t1 - t0)
-        checksum += float(out.sum(dtype=np.float64))
-    median_ns = float(statistics.median(totals))
-    return BenchResult(
-        kind=kind,
-        n_elements=n_elements,
-        repeats=repeats,
-        median_ns_per_element=median_ns / n_elements,
-        checksum=checksum,
-        repeat_ns=tuple(totals),
-    )
+    timed = {}  # kind -> (median ns per element, checksum)
+    for kind in dict.fromkeys([*kinds, ActivationKind.RELU]):
+        for _ in range(2):
+            activate_batch(kind, xs)
+        totals = []
+        checksum = 0.0
+        for _ in range(repeats):
+            t0 = time.perf_counter_ns()
+            out = activate_batch(kind, xs)
+            totals.append(time.perf_counter_ns() - t0)
+            checksum += float(out.sum(dtype=np.float64))
+        timed[kind] = (float(np.median(totals)) / n_elements, checksum)
+    relu_ns, _ = timed[ActivationKind.RELU]
+    return [BenchResult(kind, n_elements, repeats, *timed[kind], timed[kind][0] / relu_ns) for kind in kinds]
 
 
-def compare(
-    kinds: list[ActivationKind], n_elements: int, repeats: int, seed: int
-) -> tuple[list[BenchResult], list[float]]:
-    """Bench each kind (input order preserved) and report medians relative to ReLU.
-
-    If ReLU is not among the kinds it is benched once extra as the hidden reference.
-    """
-    if not kinds:
-        raise DomainError("kinds list must not be empty")
-    results = [bench_activation(kind, n_elements, repeats, seed) for kind in kinds]
-    relu = next((r for r in results if r.kind is ActivationKind.RELU), None)
-    if relu is None:
-        relu = bench_activation(ActivationKind.RELU, n_elements, repeats, seed)
-    ratios = [r.median_ns_per_element / relu.median_ns_per_element for r in results]
-    return results, ratios
-
-
-def save_bench_csv(results: list[BenchResult], ratios: list[float], path: str | Path) -> None:
+def save_bench_csv(results: list[BenchResult], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["kind", "n", "repeats", "median_ns_per_elem", "ratio_vs_relu"])
-        for res, ratio in zip(results, ratios):
-            writer.writerow(
-                [res.kind.value, res.n_elements, res.repeats, repr(res.median_ns_per_element), repr(ratio)]
-            )
+        writer.writerows(
+            [r.kind.value, r.n_elements, r.repeats, repr(r.median_ns_per_element), repr(r.ratio_vs_relu)]
+            for r in results
+        )

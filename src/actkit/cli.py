@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import bench_activation, compare, save_bench_csv
+from .bench import compare, save_bench_csv
 from .dataio import gen_synthetic_phases, load_phase_csv, save_phase_csv
 from .errors import ActkitError, ConfigError
 from .experiments import emit_report, load_config, run_experiment, run_grid
@@ -32,15 +32,15 @@ def _parse_list(text: str, parse) -> list:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     kinds = _parse_list(args.kinds, ActivationKind.from_name)
-    results, ratios = compare(kinds, n_elements=args.n, repeats=args.repeats, seed=args.seed)
+    results = compare(kinds, n_elements=args.n, repeats=args.repeats, seed=args.seed)
     print(f"{'kind':<10} {'n':>10} {'repeats':>7} {'ns/elem':>10} {'vs relu':>8}")
-    for res, ratio in zip(results, ratios):
+    for res in results:
         print(
             f"{res.kind.value:<10} {res.n_elements:>10} {res.repeats:>7} "
-            f"{res.median_ns_per_element:>10.4f} {ratio:>8.3f}"
+            f"{res.median_ns_per_element:>10.4f} {res.ratio_vs_relu:>8.3f}"
         )
     if args.out:
-        save_bench_csv(results, ratios, args.out)
+        save_bench_csv(results, args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -15,7 +15,6 @@ from .tensor import Rng
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3*1024 channel-major pixel bytes
 CIFAR_CLASSES = 10
 PHASE_ROW_SUM_TOL = 1e-3
-_ROW_SUM = "sums to {:.6f}, outside 1 +/- " + str(PHASE_ROW_SUM_TOL)
 
 
 @dataclass(frozen=True)
@@ -228,26 +227,34 @@ def load_phase_csv(path: str | Path) -> PhaseSequence:
             table = np.loadtxt(body, row_type, delimiter=",", comments=None, quotechar=None, ndmin=1)
         if len(table) != len(body):
             raise ValueError("loadtxt skipped a blank line")
+        truth, probs, failure = table["truth"].copy(), table["p"], None
     except (ValueError, Warning) as exc:
-        # the only row loop, run on failure alone: name the first bad row and what is wrong with it
+        # the only row loop, run on failure alone: it reads the rows before the first that does not parse
+        rows, failure = [], exc  # if every row parses, exc is about a number numpy does not take
         for i, fields in enumerate(line.split(",") if line else [] for line in body):
             if len(fields) != len(header):
-                raise FormatError(f"{path}: row {i} has {len(fields)} fields, expected {len(header)}")
+                failure = f"row {i} has {len(fields)} fields, expected {len(header)}"
+                break
             try:
-                int(fields[1])
-                total = sum(map(float, fields[2:]))
+                rows.append((int(fields[1]), [float(f) for f in fields[2:]]))
             except ValueError as err:
-                raise FormatError(f"{path}: row {i}: {err}") from None
-            if not (abs(total - 1.0) <= PHASE_ROW_SUM_TOL):
-                raise FormatError(f"{path}: row {i} {_ROW_SUM.format(total)}")
-        raise FormatError(f"{path}: {exc}") from None  # a number Python's parser takes and numpy's does not
-    truth, probs = table["truth"].copy(), table["p"]
+                failure = f"row {i}: {err}"
+                break
+        truth = np.array([t for t, _ in rows])  # an object array if a truth outgrows int64
+        probs = np.array([p for _, p in rows]).reshape(-1, num_classes)
+    # the row rules, in the order a row is checked after its field count and parse
     sums = probs.sum(axis=1)
-    for bad, why in (
-        (~(np.abs(sums - 1.0) <= PHASE_ROW_SUM_TOL), lambda i: _ROW_SUM.format(sums[i])),  # also rejects NaN
+    off_sum = ~(np.abs(sums - 1.0) <= PHASE_ROW_SUM_TOL)  # also rejects NaN
+    rules = [
+        (off_sum, lambda i: f"sums to {sums[i]:.6f}, outside 1 +/- {PHASE_ROW_SUM_TOL}"),
         ((probs < 0).any(axis=1), lambda i: f"has a negative probability {probs[i].min():g}"),
         ((truth < 0) | (truth >= num_classes), lambda i: f"has truth {truth[i]}, outside [0, {num_classes})"),
-    ):
-        if bad.any():
-            raise FormatError(f"{path}: row {bad.argmax()} {why(bad.argmax())}")
+    ]
+    bad = np.stack([mask for mask, _ in rules], axis=1)
+    if bad.any():
+        row = bad.any(axis=1).argmax()
+        _, why = rules[bad[row].argmax()]
+        raise FormatError(f"{path}: row {row} {why(row)}")
+    if failure is not None:
+        raise FormatError(f"{path}: {failure}")
     return PhaseSequence(probs / sums[:, None], truth)

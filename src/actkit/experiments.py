@@ -28,6 +28,7 @@ from .modelspec import (
     build_model,
     fingerprint,
     forward,
+    list_sites,
     loss_and_gradients,
     preset,
     record_from_json,
@@ -221,15 +222,16 @@ def run_experiment(
 def run_grid(
     base_cfg: ExperimentConfig, placements: list[GroupSelector], to_kind: ActivationKind
 ) -> list[ExperimentReport]:
-    """The unmodified baseline plus one cell per placement, all sharing seeds,
-    hyperparameters, and the exact same loaded dataset."""
-    data = load_datasets(base_cfg.dataset)
-    reports = [run_experiment(replace(base_cfg, surgery=(), label="baseline"), data=data)]
+    """The unmodified baseline plus one cell per placement, all sharing seeds, hyperparameters,
+    and the exact same loaded dataset. Every placement is checked before the data is loaded."""
+    sites = list_sites(preset(base_cfg.preset))
+    cells = [replace(base_cfg, surgery=(), label="baseline")]
     for sel in placements:
+        sel.match(sites)
         step = SurgeryStep(selector=sel, from_kind=None, to_kind=to_kind)
-        cell = replace(base_cfg, surgery=(step,), label=f"{sel.as_string()}->{to_kind.value}")
-        reports.append(run_experiment(cell, data=data))
-    return reports
+        cells.append(replace(base_cfg, surgery=(step,), label=f"{sel.as_string()}->{to_kind.value}"))
+    data = load_datasets(base_cfg.dataset)
+    return [run_experiment(cell, data=data) for cell in cells]
 
 
 # --- serialization ---------------------------------------------------------

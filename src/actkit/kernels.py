@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
+MAX_GRID_POINTS = 10**8  # max_approx_error's float64 work buffers then stay under ~4 GB
+
 
 class ActivationKind(enum.Enum):
     """The supported nonlinearities. Values double as their serialized names."""
@@ -186,7 +188,10 @@ def max_approx_error(
         raise DomainError(f"grid step must be positive, got {step}")
     if lo >= hi:
         raise DomainError(f"empty grid: lo={lo} must be below hi={hi}")
-    n = int(math.floor((hi - lo) / step + 1e-12)) + 1
+    count = (hi - lo) / step + 1e-12  # inf when the step is tiny against the range
+    if not count < MAX_GRID_POINTS:
+        raise DomainError(f"grid of {count + 1:.6g} points is above MAX_GRID_POINTS={MAX_GRID_POINTS}")
+    n = int(math.floor(count)) + 1
     xs = lo + np.arange(n, dtype=np.float64) * step
     gap = np.abs(_FORWARD[a](xs) - _FORWARD[b](xs))
     i = int(np.argmax(gap))

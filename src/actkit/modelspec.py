@@ -140,6 +140,13 @@ class GroupSelector:
             return _GROUPS[self.text](site)
         return self.text == f"site:{site.site_id}"
 
+    def match(self, sites: list[ActivationSite]) -> list[bool]:
+        """Whether the selector matches each site; a ConfigError if it matches none."""
+        matched = [self.matches(s) for s in sites]
+        if not any(matched):
+            raise ConfigError(f"selector {self.text!r} matches no activation site")
+        return matched
+
 
 INITIAL = GroupSelector("initial")
 MIDDLE = GroupSelector("middle")
@@ -206,9 +213,7 @@ def replace_activations(
     (from_kind=None matches any). Returns the new spec and the changed-site count;
     a site already at to_kind that matches still counts as changed."""
     sites = list_sites(spec)
-    matched = [selector.matches(s) for s in sites]
-    if not any(matched):
-        raise ConfigError(f"selector {selector.as_string()!r} matches no activation site")
+    matched = selector.match(sites)
     hits = [m and from_kind in (None, s.kind) for s, m in zip(sites, matched)]
     kinds = (to_kind if hit else s.kind for s, hit in zip(sites, hits))
     stem_act = next(kinds)

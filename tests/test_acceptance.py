@@ -31,8 +31,8 @@ from actkit import (
     activate_batch,
     activate_batch_backward,
     argmax_decode,
-    bench_activation,
     build_model,
+    compare,
     conv2d_backward,
     conv2d_forward,
     dense_backward,
@@ -319,16 +319,14 @@ def test_criterion_6_sma_behavior():
 def test_criterion_7_efficiency_expectation():
     with criterion(7, "bench(1e7 x 10): checksums deterministic (hard); hardswish <= swish (warn)"):
         n, repeats = 10_000_000, 10
-        swish = bench_activation(ActivationKind.SWISH, n, repeats, seed=0)
-        hardswish = bench_activation(HS, n, repeats, seed=0)
+        swish, hardswish = compare([ActivationKind.SWISH, HS], n, repeats, seed=0)
 
         # hard sub-checks: bookkeeping and bit-exact checksum reproducibility
         for res in (swish, hardswish):
             assert res.n_elements == n and res.repeats == repeats
-            assert len(res.repeat_ns) == repeats
             assert np.isfinite(res.checksum)
-        assert bench_activation(ActivationKind.SWISH, n, repeats, seed=0).checksum == swish.checksum
-        assert bench_activation(HS, n, repeats, seed=0).checksum == hardswish.checksum
+        again = compare([ActivationKind.SWISH, HS], n, repeats, seed=0)
+        assert [res.checksum for res in again] == [swish.checksum, hardswish.checksum]
 
         # hardware-dependent expectation: report, warn on violation, never fail
         msg = (

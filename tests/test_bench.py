@@ -2,8 +2,6 @@
 determinism, and ratio reporting. Timing magnitudes are hardware-dependent,
 so assertions target structure and arithmetic, not speed."""
 
-import statistics
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from actkit import (
     ActivationKind,
     DomainError,
     activate_batch,
-    bench_activation,
+    bench,
     compare,
     make_bench_input,
     save_bench_csv,
@@ -43,27 +41,31 @@ class TestBenchInput:
 
 
 class TestBenchActivation:
-    """One kind, one buffer: result fields and the median arithmetic."""
+    """One kind, one buffer: result fields, the median arithmetic, checksums and minimums."""
 
     def test_result_fields(self):
-        res = bench_activation(HS, n_elements=MIN_ELEMENTS, repeats=MIN_REPEATS, seed=0)
+        (res,) = compare([HS], n_elements=MIN_ELEMENTS, repeats=MIN_REPEATS, seed=0)
         assert res.kind is HS
         assert res.n_elements == MIN_ELEMENTS
         assert res.repeats == MIN_REPEATS
-        assert len(res.repeat_ns) == MIN_REPEATS
-        assert all(t > 0 for t in res.repeat_ns)
         assert res.median_ns_per_element > 0
+        assert res.ratio_vs_relu > 0
 
-    def test_median_is_median_of_repeats(self):
-        res = bench_activation(RELU, MIN_ELEMENTS, 5, seed=2)
-        want = statistics.median(res.repeat_ns) / res.n_elements
-        assert res.median_ns_per_element == want
+    def test_median_is_median_of_repeats(self, monkeypatch):
+        """A fake clock: Hard-Swish's timed passes take 100, 300 and 200 ns, and then
+        the hidden ReLU reference's take 50, 70 and 10 ns."""
+        ticks = iter([0, 100, 1000, 1300, 2000, 2200, 3000, 3050, 4000, 4070, 5000, 5010])
+        monkeypatch.setattr(bench.time, "perf_counter_ns", lambda: next(ticks))
+        (res,) = compare([HS], MIN_ELEMENTS, MIN_REPEATS, seed=2)
+        assert res.median_ns_per_element == 200 / MIN_ELEMENTS
+        assert res.ratio_vs_relu == (200 / MIN_ELEMENTS) / (50 / MIN_ELEMENTS)
+        assert next(ticks, None) is None  # every pass read the clock twice, no more
 
     def test_checksum_deterministic_and_matches_sum(self):
         """Every timed pass adds the full output sum, so the checksum is
         repeats times the one-pass sum — and identical across runs."""
-        a = bench_activation(SWISH, MIN_ELEMENTS, MIN_REPEATS, seed=3)
-        b = bench_activation(SWISH, MIN_ELEMENTS, MIN_REPEATS, seed=3)
+        (a,) = compare([SWISH], MIN_ELEMENTS, MIN_REPEATS, seed=3)
+        (b,) = compare([SWISH], MIN_ELEMENTS, MIN_REPEATS, seed=3)
         assert a.checksum == b.checksum
         one_pass = float(
             activate_batch(SWISH, make_bench_input(MIN_ELEMENTS, 3)).sum(dtype=np.float64)
@@ -71,40 +73,53 @@ class TestBenchActivation:
         assert a.checksum == MIN_REPEATS * one_pass
 
     def test_minimums_enforced(self):
-        with pytest.raises(DomainError):
-            bench_activation(RELU, MIN_ELEMENTS - 1, MIN_REPEATS, seed=0)
-        with pytest.raises(DomainError):
-            bench_activation(RELU, MIN_ELEMENTS, MIN_REPEATS - 1, seed=0)
+        with pytest.raises(DomainError, match=f"n_elements must be >= {MIN_ELEMENTS} for stable medians"):
+            compare([RELU], MIN_ELEMENTS - 1, MIN_REPEATS, seed=0)
+        with pytest.raises(DomainError, match=f"repeats must be >= {MIN_REPEATS}, got {MIN_REPEATS - 1}"):
+            compare([RELU], MIN_ELEMENTS, MIN_REPEATS - 1, seed=0)
 
 
 class TestCompare:
-    """Multi-kind comparison with ratios against the ReLU reference."""
+    """Multi-kind comparison on one buffer, each result carrying its ratio to ReLU."""
 
     def test_order_preserved_and_relu_ratio_one(self):
         kinds = [SWISH, RELU, HS]
-        results, ratios = compare(kinds, MIN_ELEMENTS, MIN_REPEATS, seed=0)
+        results = compare(kinds, MIN_ELEMENTS, MIN_REPEATS, seed=0)
         assert [r.kind for r in results] == kinds
-        assert len(ratios) == 3
-        assert ratios[1] == 1.0
+        assert results[1].ratio_vs_relu == 1.0
 
     def test_hidden_relu_reference(self):
         """Ratios are still relative to ReLU when ReLU is not requested."""
-        results, ratios = compare([HS], MIN_ELEMENTS, MIN_REPEATS, seed=1)
+        results = compare([HS], MIN_ELEMENTS, MIN_REPEATS, seed=1)
         assert [r.kind for r in results] == [HS]
-        relu_res = bench_activation(RELU, MIN_ELEMENTS, MIN_REPEATS, seed=1)
         # timing noise moves the denominator between runs; the ratio must still
         # be positive and in a plausible band rather than bit-reproducible
-        assert 0.05 < ratios[0] < 100.0
-        assert relu_res.median_ns_per_element > 0
+        assert 0.05 < results[0].ratio_vs_relu < 100.0
+
+    def test_one_buffer_for_every_kind(self, monkeypatch):
+        calls = []
+
+        def counting(n_elements, seed):
+            calls.append((n_elements, seed))
+            return make_bench_input(n_elements, seed)
+
+        monkeypatch.setattr(bench, "make_bench_input", counting)
+        compare([RELU, SWISH, HS], MIN_ELEMENTS, MIN_REPEATS, seed=6)
+        assert calls == [(MIN_ELEMENTS, 6)]
+
+    def test_duplicate_kinds_timed_once_reported_twice(self):
+        first, second = compare([RELU, RELU], MIN_ELEMENTS, MIN_REPEATS, seed=7)
+        assert first == second
+        assert first.ratio_vs_relu == 1.0
 
     def test_empty_kinds_rejected(self):
         with pytest.raises(DomainError):
             compare([], MIN_ELEMENTS, MIN_REPEATS, seed=0)
 
     def test_csv_layout(self, tmp_path):
-        results, ratios = compare([RELU, HS], MIN_ELEMENTS, MIN_REPEATS, seed=4)
+        results = compare([RELU, HS], MIN_ELEMENTS, MIN_REPEATS, seed=4)
         path = tmp_path / "bench.csv"
-        save_bench_csv(results, ratios, path)
+        save_bench_csv(results, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "kind,n,repeats,median_ns_per_elem,ratio_vs_relu"
         assert len(lines) == 3
@@ -112,3 +127,4 @@ class TestCompare:
         assert first[0] == "relu"
         assert int(first[1]) == MIN_ELEMENTS
         assert float(first[4]) == 1.0
+        assert lines[2].split(",")[4] == repr(results[1].ratio_vs_relu)

@@ -197,6 +197,7 @@ class TestTrainAndGrid:
             (TRAIN, {"label": 7}, "ConfigError"),
             (TRAIN, {"dataset": {**DATA, "source": "cifar10-binary", "data_dir": 5}}, "ConfigError"),
             (["bench", "--kinds", "relu,bogus"], None, "DomainError"),
+            (["approx", "--a", "swish", "--b", "hardswish", "--step", "1e-320"], None, "DomainError"),
             (["grid", "--config", "{cfg}", "--placements", "all,bogus", "--out", "{out}"], None, "ConfigError"),
         ],
         ids=[
@@ -219,6 +220,7 @@ class TestTrainAndGrid:
             "label-int",
             "data-dir-int",
             "kinds-bogus",
+            "approx-step-1e-320",
             "placements-bogus",
         ],
     )

@@ -313,6 +313,9 @@ class TestPhaseCsv:
             (HEADER + "0,0,0.5,0.5\n1,0,nan,0.5\n", "row 1 sums to nan, outside 1 +/- 0.001"),
             (HEADER + "0,0,inf,0.5\n", "row 0 sums to inf, outside 1 +/- 0.001"),
             (HEADER + "0,0,0.9,0.5\n1,x,0.5,0.5\n", "row 0 sums to 1.400000, outside 1 +/- 0.001"),
+            (HEADER + "0,5,0.5,0.5\n1,0,0.9,0.5\n", "row 0 has truth 5, outside [0, 2)"),
+            (HEADER + "0,5,0.5,0.5\n1,x,0.5,0.5\n", "row 0 has truth 5, outside [0, 2)"),
+            (HEADER + "0,0,1.5,-0.5\n1,0,0.9,0.5\n", "row 0 has a negative probability -0.5"),
         ],
         ids=[
             "empty",
@@ -330,6 +333,9 @@ class TestPhaseCsv:
             "nan",
             "inf",
             "sum-before-later-parse-error",
+            "truth-before-later-sum",
+            "truth-before-later-parse-error",
+            "negative-before-later-sum",
         ],
     )
     def test_malformed_input_message(self, tmp_path, text, message):

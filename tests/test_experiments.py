@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from actkit import (
+    ALL,
     INITIAL,
     LAST,
     MIDDLE,
@@ -33,7 +34,7 @@ from actkit import (
     run_grid,
     site_selector,
 )
-from actkit import ModelSpec, record_from_json, record_to_json
+from actkit import ModelSpec, experiments, record_from_json, record_to_json
 from actkit.experiments import ExperimentReport, SeedRun
 
 HS = ActivationKind.HARDSWISH
@@ -263,6 +264,25 @@ class TestGrid:
         a = run_grid(cfg, [INITIAL], HS)
         b = run_grid(cfg, [INITIAL], HS)
         assert [r.mean_accuracy for r in a] == [r.mean_accuracy for r in b]
+
+    @pytest.mark.parametrize(
+        "preset_name, message",
+        [
+            ("mini-x3d", "selector 'site:stage9.block1.act_a' matches no activation site"),
+            ("resnet101", "unknown preset 'resnet101' (expected 'mini-resnet' or 'mini-x3d')"),
+        ],
+        ids=["unknown-site", "unknown-preset"],
+    )
+    def test_checked_before_data_is_loaded(self, monkeypatch, preset_name, message):
+        """A bad placement or preset fails before any data is loaded or any cell trains."""
+
+        def no_data(cfg):
+            raise AssertionError("load_datasets was called")
+
+        monkeypatch.setattr(experiments, "load_datasets", no_data)
+        with pytest.raises(ConfigError) as info:
+            run_grid(tiny_config(preset=preset_name), [ALL, site_selector("stage9.block1.act_a")], HS)
+        assert str(info.value) == message
 
 
 class TestSerialization:

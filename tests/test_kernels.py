@@ -274,6 +274,9 @@ class TestApproximationAnalyzer:
             max_approx_error(ActivationKind.RELU, ActivationKind.RELU6, lo=1.0, hi=0.0, step=0.1)
         with pytest.raises(DomainError):
             max_approx_error(ActivationKind.RELU, ActivationKind.RELU6, lo=0.0, hi=1.0, step=0.0)
+        # 20 / 1e-320 overflows to an infinite point count, rejected before anything is allocated
+        with pytest.raises(DomainError, match=r"^grid of inf points is above MAX_GRID_POINTS=\d+$"):
+            max_approx_error(ActivationKind.SWISH, ActivationKind.HARDSWISH, lo=-10.0, hi=10.0, step=1e-320)
 
 
 class TestValidation:
