@@ -203,6 +203,14 @@ def save_phase_csv(seq: PhaseSequence, path: str | Path) -> None:
         fh.writelines(row % (t, y, *p) for t, (y, p) in enumerate(zip(seq.truth.tolist(), seq.probs.tolist())))
 
 
+def _plain(field: str) -> str:
+    """The field, if it may be a number np.loadtxt parses: Python's int() and float() also
+    take digit separators ('0_1') and non-ASCII digits, which loadtxt rejects."""
+    if "_" in field or not field.isascii():
+        raise ValueError(f"not a plain ASCII number: {field!r}")
+    return field
+
+
 def load_phase_csv(path: str | Path) -> PhaseSequence:
     """Parse a phase CSV as save_phase_csv writes it: header 'frame,truth,p0,...', unquoted fields,
     '\\n' or '\\r\\n' row ends, frame column ignored. Rows need an integer truth in [0, C) and
@@ -236,7 +244,7 @@ def load_phase_csv(path: str | Path) -> PhaseSequence:
                 failure = f"row {i} has {len(fields)} fields, expected {len(header)}"
                 break
             try:
-                rows.append((int(fields[1]), [float(f) for f in fields[2:]]))
+                rows.append((int(_plain(fields[1])), [float(_plain(f)) for f in fields[2:]]))
             except ValueError as err:
                 failure = f"row {i}: {err}"
                 break

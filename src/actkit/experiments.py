@@ -223,9 +223,16 @@ def run_grid(
     base_cfg: ExperimentConfig, placements: list[GroupSelector], to_kind: ActivationKind
 ) -> list[ExperimentReport]:
     """The unmodified baseline plus one cell per placement, all sharing seeds, hyperparameters,
-    and the exact same loaded dataset. Every placement is checked before the data is loaded."""
+    and the exact same loaded dataset. The config must have no surgery of its own, since the cells
+    are the plain preset and one placement each; that and every placement are checked before the
+    data is loaded."""
+    if base_cfg.surgery:
+        raise ConfigError(
+            f"a grid config must have an empty 'surgery' list, got {len(base_cfg.surgery)} step(s): "
+            "the grid's cells are the plain preset and one per placement"
+        )
     sites = list_sites(preset(base_cfg.preset))
-    cells = [replace(base_cfg, surgery=(), label="baseline")]
+    cells = [replace(base_cfg, label="baseline")]
     for sel in placements:
         sel.match(sites)
         step = SurgeryStep(selector=sel, from_kind=None, to_kind=to_kind)

@@ -383,5 +383,6 @@ def loss_and_gradients(
         if f"{prefix}.proj.w" in p:
             gs = conv_back(f"{prefix}.proj", x_in, gs, blk.stride)
         g_cur = gx + gs
-    conv_back("stem", batch, activate_batch_backward(model.spec.stem_act, z_stem, g_cur), 1)
+    g_stem = activate_batch_backward(model.spec.stem_act, z_stem, g_cur)
+    _, grads["stem.w"], grads["stem.b"] = conv2d_backward(batch, p["stem.w"], g_stem, 1, input_grad=False)
     return loss, {name: grads[name] for name in model.params}

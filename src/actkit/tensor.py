@@ -109,14 +109,18 @@ def _patches(x_nhwc: np.ndarray, k: int, stride: int) -> np.ndarray:
 
 
 def conv2d_backward(
-    x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, stride: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray, weights: np.ndarray, upstream: np.ndarray, stride: int, *, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Exact gradients of conv2d_forward: (grad_input, grad_weights, grad_bias).
 
-    grad_weights is upstream^T @ patches(x). grad_input needs no scatter: for a
-    same-padded odd-K correlation it is the stride-1 same-padded correlation of the
-    upstream, dilated by the stride (zeros between rows and columns) to H x W, with
-    the kernel rotated 180 degrees and its in/out channels swapped.
+    grad_weights is upstream^T @ patches(x). grad_input is split into the stride^2
+    sub-pixel phases (py, px): with pad = (K - 1) / 2, the input rows and columns
+    congruent to (py, px) mod stride see only the kernel taps congruent to
+    (py + pad, px + pad) mod stride. So each phase is a stride-1 correlation of the
+    upstream with that sub-kernel, rotated 180 degrees with its in/out channels
+    swapped, written to grad_input[:, :, py::stride, px::stride]. A phase with no
+    taps (K < stride) gets zeros. With input_grad=False grad_input is None and
+    not computed.
     """
     x = _as_real(x, 4, "conv input")
     w = _as_real(weights, 4, "conv weights")
@@ -132,12 +136,34 @@ def conv2d_backward(
     up_nhwc = up.transpose(0, 2, 3, 1)
     grad_b = up.sum(axis=(0, 2, 3))
     grad_w = up_nhwc.reshape(-1, o).T @ _patches(x.transpose(0, 2, 3, 1), k, stride)  # patches(x) freed here
-    dilated = np.zeros((n, h, wid, o), dtype=REAL)
-    dilated[:, ::stride, ::stride] = up_nhwc
-    w_flip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * o, c)
-    grad_x = (_patches(dilated, k, 1) @ w_flip).reshape(n, h, wid, c).transpose(0, 3, 1, 2)
-    grad_w = grad_w.reshape(o, k, k, c).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(grad_x), np.ascontiguousarray(grad_w), np.ascontiguousarray(grad_b)
+    grad_w = np.ascontiguousarray(grad_w.reshape(o, k, k, c).transpose(0, 3, 1, 2))
+    if not input_grad:
+        return None, grad_w, grad_b
+
+    # With (qy, ry) = divmod(py + pad, stride), input row py + stride*j takes tap
+    # ry + stride*t from upstream row j + qy - t, so no phase reads more than e rows
+    # past either edge of the upstream.
+    pad = (k - 1) // 2
+    e = -(-pad // stride)
+    up_pad = np.zeros((n, ho + 2 * e, wo + 2 * e, o), dtype=REAL)
+    up_pad[:, e : e + ho, e : e + wo] = up_nhwc
+    grad_x = np.zeros((n, h, wid, c), dtype=REAL)
+    for py in range(stride):
+        qy, ry = divmod(py + pad, stride)
+        for px in range(stride):
+            qx, rx = divmod(px + pad, stride)
+            w_sub = w[:, :, ry::stride, rx::stride]
+            _, _, ty, tx = w_sub.shape
+            jy, jx = len(range(py, h, stride)), len(range(px, wid, stride))
+            if not (ty and tx and jy and jx):
+                continue
+            y0, x0 = e + qy - ty + 1, e + qx - tx + 1
+            window = up_pad[:, y0 : y0 + jy + ty - 1, x0 : x0 + jx + tx - 1]
+            win = sliding_window_view(window, (ty, tx), axis=(1, 2))  # N,Jy,Jx,O,Ty,Tx
+            patches = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, ty * tx * o)
+            w_flip = w_sub[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(ty * tx * o, c)
+            grad_x[:, py::stride, px::stride] = (patches @ w_flip).reshape(n, jy, jx, c)
+    return np.ascontiguousarray(grad_x.transpose(0, 3, 1, 2)), grad_w, grad_b
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -174,6 +174,7 @@ class TestTrainAndGrid:
     TRAIN = ["train", "--config", "{cfg}", "--out", "{out}"]
     DATA = {"source": "synthetic-images", "train_size": 4, "test_size": 3}
     FORM = {"selector": "all", "form": "relu", "to": "hardswish"}
+    SWISH_ALL = {"selector": "all", "to": "swish"}
 
     @pytest.mark.parametrize(
         "argv, config, error",
@@ -199,6 +200,7 @@ class TestTrainAndGrid:
             (["bench", "--kinds", "relu,bogus"], None, "DomainError"),
             (["approx", "--a", "swish", "--b", "hardswish", "--step", "1e-320"], None, "DomainError"),
             (["grid", "--config", "{cfg}", "--placements", "all,bogus", "--out", "{out}"], None, "ConfigError"),
+            (["grid", "--config", "{cfg}", "--out", "{out}"], {"surgery": [SWISH_ALL]}, "ConfigError"),
         ],
         ids=[
             "windows",
@@ -222,6 +224,7 @@ class TestTrainAndGrid:
             "kinds-bogus",
             "approx-step-1e-320",
             "placements-bogus",
+            "grid-config-surgery",
         ],
     )
     def test_bad_input_fails_typed(self, argv, config, error, config_json, phase_csv, tmp_path, capsys):

@@ -316,6 +316,9 @@ class TestPhaseCsv:
             (HEADER + "0,5,0.5,0.5\n1,0,0.9,0.5\n", "row 0 has truth 5, outside [0, 2)"),
             (HEADER + "0,5,0.5,0.5\n1,x,0.5,0.5\n", "row 0 has truth 5, outside [0, 2)"),
             (HEADER + "0,0,1.5,-0.5\n1,0,0.9,0.5\n", "row 0 has a negative probability -0.5"),
+            (HEADER + "0,0_1,0.5,0.5\n", "row 0: not a plain ASCII number: '0_1'"),
+            (HEADER + "0,0,0.5,0.5\n1,0,0.5_0,0.5\n", "row 1: not a plain ASCII number: '0.5_0'"),
+            (HEADER + "0,\u0661,0.5,0.5\n", "row 0: not a plain ASCII number: '\u0661'"),
         ],
         ids=[
             "empty",
@@ -336,6 +339,9 @@ class TestPhaseCsv:
             "truth-before-later-sum",
             "truth-before-later-parse-error",
             "negative-before-later-sum",
+            "digit-separator-truth",
+            "digit-separator-probability",
+            "non-ascii-digit",
         ],
     )
     def test_malformed_input_message(self, tmp_path, text, message):

@@ -284,6 +284,22 @@ class TestGrid:
             run_grid(tiny_config(preset=preset_name), [ALL, site_selector("stage9.block1.act_a")], HS)
         assert str(info.value) == message
 
+    def test_config_surgery_rejected_before_data_is_loaded(self, monkeypatch):
+        """The grid's cells are the plain preset and one placement each, so a config with
+        surgery of its own fails before any data is loaded, naming the key."""
+
+        def no_data(cfg):
+            raise AssertionError("load_datasets was called")
+
+        monkeypatch.setattr(experiments, "load_datasets", no_data)
+        cfg = tiny_config(preset="mini-x3d", surgery=(SurgeryStep(selector=ALL, to_kind=ActivationKind.SWISH),))
+        with pytest.raises(ConfigError) as info:
+            run_grid(cfg, [INITIAL], HS)
+        assert str(info.value) == (
+            "a grid config must have an empty 'surgery' list, got 1 step(s): "
+            "the grid's cells are the plain preset and one per placement"
+        )
+
 
 class TestSerialization:
     def test_config_json_round_trip(self):

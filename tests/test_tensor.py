@@ -176,13 +176,13 @@ class TestConv2d:
         assert np.array_equal(out, x)
 
     @pytest.mark.parametrize("shape", [(2, 2, 4, 4), (2, 3, 7, 5)], ids=["4x4", "7x5"])
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_gradients_match_fd(self, k, stride, shape):
-        """Odd, non-square inputs put the dilated upstream's last row and column on
-        the ceil-division edge at stride 2. The loss is linear, so differences of a
-        float64 forward are exact; a float32 forward's rounding alone exceeds 1e-3
-        relative error at K=5."""
+        """Odd, non-square inputs put the last row and column of a stride phase on
+        the ceil-division edge, and K=1 at strides 2 and 3 leaves phases with no
+        kernel taps. The loss is linear, so differences of a float64 forward are
+        exact; a float32 forward's rounding alone exceeds 1e-3 relative error at K=5."""
         rs = np.random.RandomState(31)
         x = rs.uniform(-1, 1, shape).astype(np.float32)
         w = rs.uniform(-1, 1, (3, shape[1], k, k)).astype(np.float32)
@@ -196,6 +196,33 @@ class TestConv2d:
         assert rel_err(fd_grad(loss, x, 0.05), gx) < 1e-3
         assert rel_err(fd_grad(loss, w, 0.05), gw) < 1e-3
         assert rel_err(fd_grad(loss, b, 0.05), gb) < 1e-3
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_weights_only_backward(self, stride):
+        """input_grad=False returns no input gradient and the full call's exact
+        weight and bias gradients."""
+        rs = np.random.RandomState(61)
+        x = rs.uniform(-1, 1, (2, 3, 7, 5)).astype(np.float32)
+        w = rs.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32)
+        up = rs.uniform(-1, 1, (2, 4, -(-7 // stride), -(-5 // stride))).astype(np.float32)
+        _, gw, gb = conv2d_backward(x, w, up, stride)
+        gx_none, gw_only, gb_only = conv2d_backward(x, w, up, stride, input_grad=False)
+        assert gx_none is None
+        assert np.array_equal(gw_only, gw)
+        assert np.array_equal(gb_only, gb)
+
+    def test_unread_pixels_get_zero_gradient(self):
+        """A 1x1 stride-2 conv reads only even rows and columns; every other input
+        pixel belongs to a phase with no kernel taps and gets exactly zero."""
+        rs = np.random.RandomState(67)
+        x = rs.uniform(-1, 1, (2, 3, 7, 6)).astype(np.float32)
+        w = rs.uniform(-1, 1, (4, 3, 1, 1)).astype(np.float32)
+        up = rs.uniform(-1, 1, (2, 4, 4, 3)).astype(np.float32)
+        gx, _, _ = conv2d_backward(x, w, up, stride=2)
+        read = np.zeros(gx.shape, dtype=bool)
+        read[:, :, ::2, ::2] = True
+        assert np.all(gx[~read] == 0.0)
+        assert np.all(gx[read] != 0.0)
 
     def test_shape_validation(self):
         x = np.zeros((1, 3, 4, 4), dtype=np.float32)
