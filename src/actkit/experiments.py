@@ -2,7 +2,8 @@
 mean aggregation, wall-time capture, and CSV/JSON report emission.
 
 Every run is deterministic given (config, platform): model init, batch order,
-and evaluation all draw from one SplitMix64 stream per seed, single-threaded.
+and evaluation all draw from one SplitMix64 stream per seed. BLAS may run its
+GEMMs on several threads; results are bit-identical with 1 and 2 BLAS threads.
 """
 
 from __future__ import annotations

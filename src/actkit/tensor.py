@@ -75,11 +75,34 @@ def _as_real(x: np.ndarray, rank: int, what: str) -> np.ndarray:
     return arr
 
 
+# Bytes of patch matrix that conv2d_forward builds per batch slice: about one core's L2.
+_SLICE_PATCH_BYTES = 2 << 20
+
+
+def _check_nonempty(x: np.ndarray, w: np.ndarray) -> None:
+    """Reject zero channels, zero height or width and zero output channels; a batch of
+    zero images is fine."""
+    if 0 in x.shape[1:]:
+        raise ShapeError(f"conv input needs channels, height and width >= 1, got shape {x.shape}")
+    if w.shape[0] == 0:
+        raise ShapeError(f"conv weights need output channels >= 1, got shape {w.shape}")
+
+
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int) -> np.ndarray:
     """Cross-correlation with 'same' zero padding, then striding.
 
     x is NCHW, weights are (out_ch, in_ch, K, K) with K odd, bias is (out_ch,).
     Output spatial dims are ceil(H/stride) x ceil(W/stride).
+
+    The forward is one GEMM per batch slice: the batch is cut into the fewest
+    slices of whole images whose channels-innermost (rows, K*K*C) patch matrix
+    stays under _SLICE_PATCH_BYTES (one image per slice if a single image is
+    larger), with image counts that differ by at most one. Each GEMM writes its rows
+    of the NHWC output in place, so every output is the same dot product over the
+    same K*K*C columns as in one whole-batch GEMM, bit for bit. Near-equal slices
+    each hold about half the limit or more, which keeps them clear of the
+    small-matrix kernels (another summation order) that BLAS may pick for tiny
+    GEMMs; a lone last image could fall into them.
     """
     x = _as_real(x, 4, "conv input")
     w = _as_real(weights, 4, "conv weights")
@@ -90,12 +113,23 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride:
         raise ShapeError(f"kernel must be square with odd size, got {k}x{k2}")
     if i != c:
         raise ShapeError(f"weight input channels {i} != input channels {c}")
+    _check_nonempty(x, w)
     if b.shape[0] != o:
         raise ShapeError(f"bias length {b.shape[0]} != output channels {o}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
-    out = _patches(x.transpose(0, 2, 3, 1), k, stride) @ w.transpose(0, 2, 3, 1).reshape(o, -1).T + b
-    return np.ascontiguousarray(out.reshape(n, -(-h // stride), -(-wid // stride), o).transpose(0, 3, 1, 2))
+    ho, wo = -(-h // stride), -(-wid // stride)
+    x_nhwc = x.transpose(0, 2, 3, 1)
+    w_mat = w.transpose(0, 2, 3, 1).reshape(o, -1).T
+    out = np.empty((n, ho, wo, o), dtype=REAL)
+    per_slice = max(1, _SLICE_PATCH_BYTES // (ho * wo * k * k * c * out.itemsize))
+    slices = -(-n // per_slice)
+    for j in range(slices):
+        lo, hi = n * j // slices, n * (j + 1) // slices
+        out_rows = out[lo:hi].reshape(-1, o)
+        np.matmul(_patches(x_nhwc[lo:hi], k, stride), w_mat, out=out_rows)
+        out_rows += b
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 def _patches(x_nhwc: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -129,6 +163,7 @@ def conv2d_backward(
     o, i, k, _ = w.shape
     if i != c:
         raise ShapeError(f"weight input channels {i} != input channels {c}")
+    _check_nonempty(x, w)
     ho, wo = -(-h // stride), -(-wid // stride)
     if up.shape != (n, o, ho, wo):
         raise ShapeError(f"upstream shape {up.shape} != forward output shape {(n, o, ho, wo)}")

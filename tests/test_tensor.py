@@ -1,10 +1,14 @@
 """Tensor substrate tests: the seeded PRNG, He-style init, layer ops against
 brute-force oracles, finite-difference gradient checks, and the optimizer."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from actkit import tensor
 from actkit import (
     DomainError,
     Rng,
@@ -235,6 +239,119 @@ class TestConv2d:
             conv2d_forward(x, np.zeros((2, 3, 3, 3), dtype=np.float32), np.zeros(3, dtype=np.float32), stride=1)
         with pytest.raises(DomainError):  # stride
             conv2d_forward(x, np.zeros((2, 3, 3, 3), dtype=np.float32), b2, stride=0)
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape",
+        [
+            ((2, 0, 5, 5), (4, 0, 3, 3)),
+            ((2, 3, 0, 5), (4, 3, 3, 3)),
+            ((2, 3, 5, 0), (4, 3, 3, 3)),
+            ((2, 3, 5, 5), (0, 3, 3, 3)),
+        ],
+        ids=["no-channels", "no-rows", "no-columns", "no-outputs"],
+    )
+    def test_empty_dims_rejected(self, x_shape, w_shape):
+        """Zero channels, rows, columns or output channels raise a ShapeError that
+        names the shape, in both directions."""
+        x = np.zeros(x_shape, dtype=np.float32)
+        w = np.zeros(w_shape, dtype=np.float32)
+        b = np.zeros(w_shape[0], dtype=np.float32)
+        up = np.zeros((x_shape[0], w_shape[0], x_shape[2], x_shape[3]), dtype=np.float32)
+        bad = re.escape(str(x_shape if 0 in x_shape else w_shape))
+        with pytest.raises(ShapeError, match=bad):
+            conv2d_forward(x, w, b, stride=1)
+        with pytest.raises(ShapeError, match=bad):
+            conv2d_backward(x, w, up, stride=1)
+
+    def test_empty_batch(self):
+        x = np.zeros((0, 3, 7, 5), dtype=np.float32)
+        w = np.ones((4, 3, 3, 3), dtype=np.float32)
+        out = conv2d_forward(x, w, np.zeros(4, dtype=np.float32), stride=2)
+        assert out.shape == (0, 4, 4, 3)
+        gx, gw, gb = conv2d_backward(x, w, out, stride=2)
+        assert gx.shape == x.shape
+        assert np.array_equal(gw, np.zeros_like(w)) and np.array_equal(gb, np.zeros(4, dtype=np.float32))
+
+
+def whole_batch_conv(x, w, b, stride):
+    """conv2d_forward as one GEMM over the whole batch's patch matrix."""
+    n, _, h, wid = x.shape
+    o, _, k, _ = w.shape
+    rows = tensor._patches(x.transpose(0, 2, 3, 1), k, stride) @ w.transpose(0, 2, 3, 1).reshape(o, -1).T + b
+    return rows.reshape(n, -(-h // stride), -(-wid // stride), o).transpose(0, 3, 1, 2)
+
+
+class TestConvSlices:
+    """conv2d_forward runs one GEMM per batch slice, with each slice's patch matrix
+    under tensor._SLICE_PATCH_BYTES.
+
+    Each output is the dot product of one patch row with one weight column, so it
+    must equal the whole-batch GEMM bit for bit as long as BLAS runs the same
+    kernel for the slice. OpenBLAS's AVX-512 build switches to a small-matrix kernel,
+    which sums in another order, for a GEMM with at most 1200 outputs and K >= 32.
+    Real slices hold at least half the limit (about 1 MiB of patches), which keeps
+    them above that size for 4 or more output channels. The limit is patched down
+    here to force one- to three-image slices, so each image below has more than
+    1200 outputs (its Ho*Wo*O) at every stride."""
+
+    @pytest.mark.parametrize("images_per_slice", [1, 3])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("c", [3, 8], ids=["stem-C3", "C8"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_bit_identical_to_whole_batch(self, monkeypatch, k, stride, c, n, images_per_slice):
+        """n = 7 in slices of at most 3 images is cut 2, 2, 3, so one slice is larger
+        than the others."""
+        rs = np.random.RandomState(1000 + 100 * k + 10 * stride + c)
+        h, wid, o = 19, 17, 40
+        x = rs.uniform(-1, 1, (n, c, h, wid)).astype(np.float32)
+        w = rs.uniform(-1, 1, (o, c, k, k)).astype(np.float32)
+        b = rs.uniform(-1, 1, o).astype(np.float32)
+        image_bytes = -(-h // stride) * -(-wid // stride) * k * k * c * 4
+        monkeypatch.setattr(tensor, "_SLICE_PATCH_BYTES", images_per_slice * image_bytes)
+        got = conv2d_forward(x, w, b, stride)
+        want = whole_batch_conv(x, w, b, stride)
+        assert got.shape == want.shape == (n, o, -(-h // stride), -(-wid // stride))
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, limit_images, sizes", [(7, 3, [2, 2, 3]), (6, 3, [3, 3]), (5, 1, [1] * 5), (2, 9, [2])])
+    def test_slices_balanced_under_limit(self, monkeypatch, n, limit_images, sizes):
+        """The batch is cut into the fewest slices under the limit, whose image
+        counts differ by at most one, so no slice is a small remainder."""
+        seen = []
+        patches = tensor._patches
+
+        def spy(x_nhwc, k, stride):
+            out = patches(x_nhwc, k, stride)
+            seen.append((x_nhwc.shape[0], out.nbytes))
+            return out
+
+        x = np.ones((n, 2, 6, 6), dtype=np.float32)
+        w = np.ones((3, 2, 3, 3), dtype=np.float32)
+        limit = limit_images * 6 * 6 * 3 * 3 * 2 * 4
+        monkeypatch.setattr(tensor, "_SLICE_PATCH_BYTES", limit)
+        monkeypatch.setattr(tensor, "_patches", spy)
+        conv2d_forward(x, w, np.zeros(3, dtype=np.float32), stride=1)
+        assert [count for count, _ in seen] == sizes
+        assert all(nbytes <= limit for _, nbytes in seen)
+
+    def test_peak_memory_under_whole_batch_patches(self):
+        """(64, 8, 32, 32) with a 3x3 kernel has a 64*1024*72*4 B = 18.9 MB
+        whole-batch patch matrix. Sliced, the traced peak is the NHWC output, its
+        NCHW copy and one slice: about 4.4 MB. numpy reports its buffers to
+        tracemalloc."""
+        rs = np.random.RandomState(71)
+        x = rs.uniform(-1, 1, (64, 8, 32, 32)).astype(np.float32)
+        w = rs.uniform(-1, 1, (8, 8, 3, 3)).astype(np.float32)
+        b = rs.uniform(-1, 1, 8).astype(np.float32)
+        tracemalloc.start()
+        try:
+            conv2d_forward(x, w, b, stride=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestDense:
