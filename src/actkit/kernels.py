@@ -1,9 +1,9 @@
 """The five activation functions: scalar and batched forward, derivatives, gap analysis.
 
-Each kind has one forward and one derivative. Both return a fresh array built with
-in-place ops, so a call makes at most two full-size float buffers. Public kernels compute in
-32-bit floats. The forwards keep a float64 input in float64, so the approximation
-analyzer runs its grid scan in 64-bit and the reported gap is trustworthy at 1e-7.
+Each kind has one forward and one derivative, in-place ops into a given output block. A call
+makes one full-size buffer, its result, and fills it block by block, with temporaries per block.
+Public kernels compute in 32-bit floats. The forwards keep a float64 input in float64, so the
+approximation analyzer runs its grid scan in 64-bit and the reported gap is trustworthy at 1e-7.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-MAX_GRID_POINTS = 10**8  # max_approx_error's float64 work buffers then stay under ~4 GB
+MAX_GRID_POINTS = 10**8  # bounds max_approx_error's run time (~1 s); it holds a few blocks at a time
+# Elements per block: one block's input, output and temporaries fit one core's 2 MiB L2.
+_BLOCK = 1 << 16
 
 
 class ActivationKind(enum.Enum):
@@ -47,77 +49,72 @@ KNOTS: dict[ActivationKind, tuple[float, ...]] = {
 }
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
     # 1/(1+exp(-x)): below x = -88.7 exp overflows to inf, and 1/inf is exactly 0
-    s = np.negative(x)
+    np.negative(x, out=out)
     with np.errstate(over="ignore"):
-        np.exp(s, out=s)
-    s += 1.0
-    return np.reciprocal(s, out=s)
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
 
 
-def _swish(x):
-    s = _sigmoid(x)
-    s *= x
-    return s
+def _swish(x, out):
+    _sigmoid(x, out)
+    out *= x
 
 
-def _hardswish(x):
+def _hardswish(x, out):
     # x * clip((x+3)/6, 0, 1): exactly x for x >= 3 and 0 for x <= -3
-    t = x + 3.0
-    t /= 6.0
-    np.clip(t, 0.0, 1.0, out=t)
-    t *= x
-    return t
+    np.add(x, 3.0, out=out)
+    out /= 6.0
+    np.clip(out, 0.0, 1.0, out=out)
+    out *= x
 
 
 _FORWARD = {
-    ActivationKind.RELU: lambda x: np.maximum(x, 0.0),
-    ActivationKind.RELU6: lambda x: np.clip(x, 0.0, 6.0),
+    ActivationKind.RELU: lambda x, out: np.maximum(x, 0.0, out=out),
+    ActivationKind.RELU6: lambda x, out: np.clip(x, 0.0, 6.0, out=out),
     ActivationKind.SIGMOID: _sigmoid,
     ActivationKind.SWISH: _swish,
     ActivationKind.HARDSWISH: _hardswish,
 }
 
 
-def _sigmoid_deriv(x):
-    # sigma(x) * sigma(-x) = 0.5/(1 + cosh x): one buffer, and no 1 - sigma cancellation in the
-    # tails; past |x| = 89 cosh overflows to inf, and 1/inf is exactly 0
+def _sigmoid_deriv(x, out):
+    # sigma(x) * sigma(-x) = 0.5/(1 + cosh x): no 1 - sigma cancellation in the tails;
+    # past |x| = 89 cosh overflows to inf, and 1/inf is exactly 0
     with np.errstate(over="ignore"):
-        d = np.cosh(x)
-    d += 1.0
-    np.reciprocal(d, out=d)
-    d *= 0.5
-    return d
+        np.cosh(x, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    out *= 0.5
 
 
-def _swish_deriv(x):
+def _swish_deriv(x, out):
     # d/dx x*sigma(x) = sigma(x) * (1 + x * (1 - sigma(x)))
-    s = _sigmoid(x)
-    d = 1.0 - s
+    _sigmoid(x, out)
+    d = 1.0 - out
     d *= x
     d += 1.0
-    d *= s
-    return d
+    np.multiply(d, out, out=out)
 
 
-def _hardswish_deriv(x):
+def _hardswish_deriv(x, out):
     # 0 for x <= -3, (2x+3)/6 on the quadratic piece (closed at x=3), 1 for x > 3.
     # (x+1.5)/3 is (2x+3)/6 bit for bit and stays finite at +-float32 max, so the
     # mask product is never inf*0.
-    d = x + 1.5
-    d /= 3.0
+    np.add(x, 1.5, out=out)
+    out /= 3.0
     high = x > 3.0
     quad = x > -3.0
     quad ^= high  # -3 < x <= 3
-    d *= quad
-    d += high
-    return d
+    out *= quad
+    out += high
 
 
 _DERIV = {
-    ActivationKind.RELU: lambda x: (x > 0.0).astype(np.float32),
-    ActivationKind.RELU6: lambda x: ((x > 0.0) & (x < 6.0)).astype(np.float32),
+    ActivationKind.RELU: lambda x, out: np.greater(x, 0.0, out=out),
+    ActivationKind.RELU6: lambda x, out: np.logical_and(x > 0.0, x < 6.0, out=out),
     ActivationKind.SIGMOID: _sigmoid_deriv,
     ActivationKind.SWISH: _swish_deriv,
     ActivationKind.HARDSWISH: _hardswish_deriv,
@@ -128,7 +125,9 @@ def _at_point(fn, x: float) -> float:
     # the batch kernels on a length-1 float32 array: in-place ops need an array, not a scalar
     if not abs(x) <= float(np.finfo(np.float32).max):  # NaN, inf, and finite values beyond float32
         raise DomainError(f"activation input must be finite in float32, got {x!r}")
-    return float(fn(np.array([x], dtype=np.float32))[0])
+    out = np.empty(1, dtype=np.float32)
+    fn(np.array([x], dtype=np.float32), out)
+    return float(out[0])
 
 
 def activate(kind: ActivationKind, x: float) -> float:
@@ -145,19 +144,32 @@ def activate_derivative(kind: ActivationKind, x: float) -> float:
     return _at_point(_DERIV[kind], x)
 
 
+def _blocked(kind: ActivationKind, arr: np.ndarray, up: np.ndarray | None = None) -> np.ndarray:
+    """kind's forward of arr (up None) or up * f'(arr), block by block into one result. Each
+    block is checked for finiteness (forward) or multiplied by up (backward) while in cache."""
+    out = np.empty_like(arr)
+    xs, res = arr.reshape(-1), out.reshape(-1)
+    fn = _FORWARD[kind] if up is None else _DERIV[kind]
+    for a in range(0, xs.size, _BLOCK):
+        x, r = xs[a : a + _BLOCK], res[a : a + _BLOCK]
+        # NaN propagates through min and max, so two reductions cover every non-finite value
+        if up is None and not (math.isfinite(x.min()) and math.isfinite(x.max())):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            i = int(bad[0])
+            raise DomainError(f"{kind.value} batch {arr.shape} has {bad.size} non-finite elements, "
+                              f"first {arr.flat[i]} at flat index {i}")
+        fn(x, r)
+        if up is not None:
+            r *= up.reshape(-1)[a : a + _BLOCK]
+    return out
+
+
 def activate_batch(kind: ActivationKind, xs: np.ndarray) -> np.ndarray:
     """Elementwise activation over a float32 array; output shape equals input shape.
 
     Rejects NaN and +-inf inputs with a DomainError naming the first one.
     """
-    arr = np.ascontiguousarray(xs, dtype=np.float32)
-    # NaN propagates through min and max, so two reductions cover every non-finite value
-    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
-        bad = np.flatnonzero(~np.isfinite(arr))
-        i = int(bad[0])
-        raise DomainError(f"{kind.value} batch {arr.shape} has {bad.size} non-finite elements, "
-                          f"first {arr.flat[i]} at flat index {i}")
-    return _FORWARD[kind](arr)
+    return _blocked(kind, np.ascontiguousarray(xs, dtype=np.float32))
 
 
 def activate_batch_backward(kind: ActivationKind, xs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -166,9 +178,7 @@ def activate_batch_backward(kind: ActivationKind, xs: np.ndarray, upstream: np.n
     up = np.ascontiguousarray(upstream, dtype=np.float32)
     if arr.shape != up.shape:
         raise ShapeError(f"input shape {arr.shape} != upstream shape {up.shape}")
-    grad = _DERIV[kind](arr)
-    grad *= up
-    return grad
+    return _blocked(kind, arr, up)
 
 
 def max_approx_error(
@@ -192,7 +202,15 @@ def max_approx_error(
     if not count < MAX_GRID_POINTS:
         raise DomainError(f"grid of {count + 1:.6g} points is above MAX_GRID_POINTS={MAX_GRID_POINTS}")
     n = int(math.floor(count)) + 1
-    xs = lo + np.arange(n, dtype=np.float64) * step
-    gap = np.abs(_FORWARD[a](xs) - _FORWARD[b](xs))
-    i = int(np.argmax(gap))
-    return float(xs[i]), float(gap[i])
+    best_x, best = lo, -1.0
+    for start in range(0, n, _BLOCK):
+        # bit-equal to the same slice of lo + arange(n) * step
+        xs = lo + np.arange(start, min(start + _BLOCK, n), dtype=np.float64) * step
+        fa, fb = np.empty_like(xs), np.empty_like(xs)
+        _FORWARD[a](xs, fa)
+        _FORWARD[b](xs, fb)
+        gap = np.abs(fa - fb)
+        i = int(np.argmax(gap))
+        if gap[i] > best:  # strict, so the first grid point attaining the max wins
+            best_x, best = float(xs[i]), float(gap[i])
+    return best_x, best

@@ -18,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .kernels import ActivationKind, activate_batch, activate_batch_backward
 from .tensor import (
     Rng,
@@ -329,25 +329,33 @@ def build_model(spec: ModelSpec, rng: Rng) -> Model:
     return Model(spec, params)
 
 
+def _activate_at(site_id: str, kind: ActivationKind, z: np.ndarray) -> np.ndarray:
+    """activate_batch, with the site id in front of a non-finite pre-activation's DomainError."""
+    try:
+        return activate_batch(kind, z)
+    except DomainError as err:
+        raise DomainError(f"{site_id}: {err}") from err
+
+
 def _forward_internal(model: Model, batch: np.ndarray, record: bool):
     """Logits plus what backward reads: the stem pre-activation and one (prefix, blk, x_in,
     z1, a1, s) record per block (None and [] unless record), pooled features, pre-pool shape."""
     p = model.params
     z_stem = conv2d_forward(batch, p["stem.w"], p["stem.b"], stride=1)
-    cur = activate_batch(model.spec.stem_act, z_stem)
+    cur = _activate_at("stem.act", model.spec.stem_act, z_stem)
     if not record:
         z_stem = None
     blocks = []
     for _, prefix, blk in _blocks(model.spec):
         x_in = cur
         z1 = conv2d_forward(x_in, p[f"{prefix}.conv1.w"], p[f"{prefix}.conv1.b"], blk.stride)
-        a1 = activate_batch(blk.act_a, z1)
+        a1 = _activate_at(f"{prefix}.act_a", blk.act_a, z1)
         s = conv2d_forward(a1, p[f"{prefix}.conv2.w"], p[f"{prefix}.conv2.b"], stride=1) + (
             conv2d_forward(x_in, p[f"{prefix}.proj.w"], p[f"{prefix}.proj.b"], blk.stride)
             if f"{prefix}.proj.w" in p
             else x_in
         )
-        cur = activate_batch(blk.act_b, s)
+        cur = _activate_at(f"{prefix}.act_b", blk.act_b, s)
         if record:
             blocks.append((prefix, blk, x_in, z1, a1, s))
     feats = global_avg_pool(cur)

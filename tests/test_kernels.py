@@ -1,7 +1,8 @@
 """Activation kernel tests: golden values against a 64-bit reference, knot
-continuity, tail exactness, derivative conventions, and the approximation
-analyzer."""
+continuity, tail exactness, derivative conventions, block invariance, memory,
+and the approximation analyzer."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from actkit import (
     activate_derivative,
     max_approx_error,
 )
+from actkit import kernels
 
 ALL_KINDS = list(ActivationKind)
 
@@ -269,6 +271,17 @@ class TestApproximationAnalyzer:
         assert x_at_max == 9.0
         assert abs(err - 3.0) < 1e-9
 
+    def test_tie_across_blocks_first_point_wins(self):
+        """|relu - hardswish| peaks at 0.375 at both -1.5 and 1.5, which fall in different blocks."""
+        assert 4 * 2**15 + 1 > kernels._BLOCK
+        assert max_approx_error(ActivationKind.RELU, ActivationKind.HARDSWISH, -2.0, 2.0, 2**-15) == (-1.5, 0.375)
+
+    @pytest.mark.parametrize("block", [1, 7, 2**30])
+    def test_block_size_does_not_change_the_result(self, block, monkeypatch):
+        want = max_approx_error(ActivationKind.SWISH, ActivationKind.HARDSWISH, -4.0, 4.0, 1 / 64)
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        assert max_approx_error(ActivationKind.SWISH, ActivationKind.HARDSWISH, -4.0, 4.0, 1 / 64) == want
+
     def test_bad_range_rejected(self):
         with pytest.raises(DomainError):
             max_approx_error(ActivationKind.RELU, ActivationKind.RELU6, lo=1.0, hi=0.0, step=0.1)
@@ -345,3 +358,71 @@ class TestValidation:
         out = activate_batch(ActivationKind.SWISH, xs)
         assert out.shape == xs.shape
         assert out.dtype == np.float32
+
+
+def block_inputs(block: int):
+    """(x, upstream) pairs: sizes 0, 1 and 3 blocks plus a ragged 5, and a 4-D shape, with
+    every knot present where there is room."""
+    rs = np.random.RandomState(31)
+    for shape in [(0,), (1,), (3 * block + 5,), (2, 3, 5, 7)]:
+        x = rs.uniform(-8.0, 8.0, size=shape).astype(np.float32)
+        knots = np.array([-3.0, 0.0, 3.0, 6.0], dtype=np.float32)[: x.size]
+        x.flat[: knots.size] = knots
+        yield x, rs.uniform(-2.0, 2.0, size=shape).astype(np.float32)
+
+
+class TestBlocks:
+    """Batched kernels walk the flat input in blocks of kernels._BLOCK elements. The block
+    size changes neither a bit of any result nor the non-finite input error."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_results_do_not_depend_on_block_size(self, kind, block, monkeypatch):
+        def run():
+            out = []
+            for x, up in block_inputs(block):
+                fwd = activate_batch(kind, x)
+                bwd = activate_batch_backward(kind, x, up)
+                assert fwd.shape == bwd.shape == x.shape and fwd.dtype == bwd.dtype == np.float32
+                head = x.flat[:64]
+                scalar = np.array([activate(kind, float(v)) for v in head], np.float32)
+                deriv = np.array([activate_derivative(kind, float(v)) for v in head], np.float32)
+                assert scalar.tobytes() == fwd.flat[:64].tobytes()
+                out += [fwd.tobytes(), bwd.tobytes(), deriv.tobytes()]
+            return out
+
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        blocked = run()
+        monkeypatch.setattr(kernels, "_BLOCK", 2**30)  # the whole array in one block
+        assert blocked == run()
+
+    @pytest.mark.parametrize("block", [7, 1 << 16])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({-3: np.nan}, "1 non-finite elements, first nan at flat index {}"),
+            ({2: np.inf, -3: np.nan}, "2 non-finite elements, first inf at flat index 2"),
+        ],
+    )
+    def test_non_finite_error_names_the_whole_array(self, block, bad, message, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        xs = np.ones(3 * block + 5, dtype=np.float32)  # -3 is in the last, ragged block
+        for at, v in bad.items():
+            xs[at] = v
+        with pytest.raises(DomainError) as err:
+            activate_batch(ActivationKind.SWISH, xs)
+        assert str(err.value) == f"swish batch ({xs.size},) has {message.format(xs.size - 3)}"
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_one_full_size_buffer_per_call(self, kind):
+        """Only the 16 MiB result is full size; every temporary is one block."""
+        x = np.linspace(-8.0, 8.0, 1 << 22, dtype=np.float32)
+        up = np.full(x.shape, 0.5, dtype=np.float32)
+        for call in (lambda: activate_batch(kind, x), lambda: activate_batch_backward(kind, x, up)):
+            tracemalloc.start()
+            try:
+                result = call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * result.nbytes, (peak, result.nbytes)

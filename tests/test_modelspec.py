@@ -424,6 +424,26 @@ class TestForward:
         assert np.max(np.abs(got.astype(np.float64) - want.astype(np.float64))) < 1e-5
 
 
+    @pytest.mark.parametrize(
+        "param, site, kind",
+        [
+            ("stem.w", "stem.act", "relu"),
+            ("stage2.block1.conv1.w", "stage2.block1.act_a", "relu"),
+            ("stage3.block1.conv2.w", "stage3.block1.act_b", "swish"),
+        ],
+    )
+    def test_non_finite_pre_activation_names_its_site(self, param, site, kind):
+        model = build_model(preset("mini-x3d"), Rng(2))
+        model.params[param][0, 0, 0, 0] = np.inf
+        batch = np.random.RandomState(89).uniform(0, 1, (2, 3, 32, 32)).astype(np.float32)
+        pattern = re.escape(f"{site}: {kind} batch (2, ") + r"\d+, \d+, \d+\) has \d+ non-finite elements, first \S+ at flat index \d+$"
+        with np.errstate(invalid="ignore"):  # inf * 0 in the convs is the point
+            with pytest.raises(actkit.DomainError, match="^" + pattern):
+                forward(model, batch)
+            with pytest.raises(actkit.DomainError, match="^" + pattern):
+                loss_and_gradients(model, batch, np.array([0, 1]))
+
+
 class TestLossAndGradients:
     """End-to-end gradients cover every parameter and drive the loss down."""
 
