@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -181,12 +182,19 @@ def _train_single(
     velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
     n = len(train)
 
+    last_loss = None
     start = time.perf_counter()
-    for _ in range(hp.epochs):
+    for epoch in range(1, hp.epochs + 1):
         order = np.argsort(rng.uniforms(n), kind="stable")
-        for lo in range(0, n, hp.batch_size):
+        for step, lo in enumerate(range(0, n, hp.batch_size), start=1):
             batch_idx = order[lo : lo + hp.batch_size]
-            _, grads = loss_and_gradients(model, train.images[batch_idx], train.labels[batch_idx])
+            try:
+                loss, grads = loss_and_gradients(model, train.images[batch_idx], train.labels[batch_idx])
+            except DomainError as err:
+                last = "none" if last_loss is None else repr(last_loss)
+                raise DomainError(f"seed {seed} epoch {epoch} step {step} (last finite loss {last}): {err}") from err
+            if math.isfinite(loss):
+                last_loss = loss
             model.params, velocity = sgd_momentum_step(model.params, grads, velocity, hp.lr, hp.momentum)
     train_seconds = time.perf_counter() - start
 

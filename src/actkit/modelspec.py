@@ -13,6 +13,8 @@ import hashlib
 import json
 import math
 import numbers
+import os
+import threading
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -363,10 +365,99 @@ def _forward_internal(model: Model, batch: np.ndarray, record: bool):
     return logits, (z_stem, blocks, feats, cur.shape)
 
 
+# forward runs a batch of n images as n // _CHUNK_IMAGES near-equal chunks. Each chunk
+# holds at least this many images, so every conv GEMM has enough rows to stay out of
+# OpenBLAS's small-matrix kernels (another summation order): the logits equal one
+# whole-batch pass bit for bit, whatever the core count.
+_CHUNK_IMAGES = 32
+# (thread pool, OpenBLAS (get, set) thread-count functions or None), made by the first
+# forward with two or more chunks; the lock lets one forward at a time use it.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's pool threads, and maybe a lock held by one
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS that numpy's wheel ships in
+    numpy.libs, or None if no library there exports a known pair."""
+    import ctypes
+    import glob
+
+    libs = os.path.normpath(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs"))
+    for path in sorted(glob.glob(os.path.join(libs, "lib*openblas*.so"))):
+        lib = ctypes.CDLL(path)  # the copy numpy loaded: the loader matches the file
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _start_pool():
+    global _pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    blas = _openblas_threads()
+    workers = len(os.sched_getaffinity(0)) if blas else 1
+    _pool = ThreadPoolExecutor(workers, thread_name_prefix="actkit-forward"), blas
+    return _pool
+
+
+def _forward_chunk(model: Model, chunk: np.ndarray, err: dict) -> np.ndarray:
+    # a pool thread starts with numpy's default error handling, not the caller's
+    with np.errstate(**err):
+        return _forward_internal(model, chunk, record=False)[0]
+
+
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Run the model on an NCHW batch; returns (N, num_classes) logits. Pure."""
-    logits, _ = _forward_internal(model, batch, record=False)
-    return logits
+    """Run the model on an NCHW batch; returns (N, num_classes) logits. Pure.
+
+    A batch of n >= 64 images runs as n // 32 near-equal chunks of whole images on a
+    private pool with one thread per core, while OpenBLAS is held at one thread; the
+    logits are the same bits as one whole-batch pass. An error in any chunk re-runs
+    the whole batch in the caller's thread, so it names the whole batch's shape and
+    indices. A nested or concurrent call, a smaller batch, or a process without
+    numpy's OpenBLAS thread controls runs on one thread.
+    """
+    batch = np.asarray(batch)
+    n = batch.shape[0] if batch.ndim == 4 else 0
+    chunks = n // _CHUNK_IMAGES
+    lock = _pool_lock
+    if chunks < 2 or not lock.acquire(blocking=False):
+        return _forward_internal(model, batch, record=False)[0]
+    try:
+        pool, blas = _pool or _start_pool()
+        threads = blas[0]() if blas else None
+        if blas:
+            blas[1](1)
+        try:
+            err = np.geterr()
+            futures = [
+                pool.submit(_forward_chunk, model, batch[n * j // chunks : n * (j + 1) // chunks], err)
+                for j in range(chunks)
+            ]
+            errors = [f.exception() for f in futures]  # waits for every chunk
+        finally:
+            if blas:
+                blas[1](threads)
+        if any(errors):
+            _forward_internal(model, batch, record=False)  # raises the error the whole batch meets
+            raise next(e for e in errors if e)
+        return np.concatenate([f.result() for f in futures])
+    finally:
+        lock.release()
 
 
 def loss_and_gradients(

@@ -176,6 +176,25 @@ class TestRunExperiment:
         with pytest.raises(DomainError):
             run_experiment(cfg)
 
+    def test_divergence_names_seed_epoch_step_and_last_loss(self):
+        """lr 10 on mini-x3d diverges within two epochs; the error puts the seed, epoch,
+        step and last finite loss in front of the forward pass's site message."""
+        cfg = tiny_config(
+            preset="mini-x3d",
+            dataset=DataConfig(source="synthetic-images", train_size=64, test_size=16),
+            hyperparams=Hyperparams(lr=10.0, batch_size=16, epochs=2),
+            seeds=(1,),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
+            with pytest.raises(DomainError) as caught:
+                run_experiment(cfg)
+        msg, site_err = str(caught.value), caught.value.__cause__
+        head = re.match(r"seed 1 epoch ([12]) step ([1-4]) \(last finite loss (\S+)\): ", msg)
+        assert head, msg
+        assert isinstance(site_err, DomainError) and msg[head.end() :] == str(site_err)
+        assert re.match(r"(stem|stage\d\.block1)\.act(_a|_b)?: (relu|swish) batch \(16, ", str(site_err))
+        assert head.group(3) == "none" or np.isfinite(float(head.group(3)))
+
 
 class TestLearning:
     """Default hyperparameters learn the synthetic quadrant task far above

@@ -2,16 +2,19 @@
 activation surgery, JSON round-trips, and model construction/execution."""
 
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import actkit
+from actkit import modelspec
 
 from actkit import (
     ALL,
@@ -32,6 +35,7 @@ from actkit import (
     dense_forward,
     fingerprint,
     forward,
+    gen_synthetic_images,
     global_avg_pool,
     list_sites,
     loss_and_gradients,
@@ -444,6 +448,119 @@ class TestForward:
                 loss_and_gradients(model, batch, np.array([0, 1]))
 
 
+def _one_pass(model, batch):
+    """Logits of the whole batch in one pass on the calling thread, with no chunks."""
+    return modelspec._forward_internal(model, batch, record=False)[0]
+
+
+class TestChunkedForward:
+    """forward runs n >= 64 images as n // 32 chunks on a thread pool: the same bits as
+    one whole-batch pass for any worker count, the caller's numpy error state in every
+    chunk, the whole batch's error message, and OpenBLAS's thread count restored."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return build_model(preset("mini-x3d"), Rng(11))
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        return gen_synthetic_images(257, seed=12).images
+
+    @pytest.mark.parametrize("n", [31, 32, 63, 64, 65, 256, 257])
+    def test_bit_equal_for_any_worker_count(self, model, images, n, monkeypatch):
+        batch = images[:n]
+        want = _one_pass(model, batch).tobytes()
+        assert forward(model, batch).tobytes() == want  # the default pool: one worker per core
+        blas = (modelspec._pool or modelspec._start_pool())[1] if n >= 64 else None
+        for workers in (1, 4):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(modelspec, "_pool", (pool, blas))
+                assert forward(model, batch).tobytes() == want
+
+    def test_chunks_get_the_callers_error_state(self, model, images, monkeypatch):
+        seen = []
+
+        def spy(kind, z):
+            seen.append(np.geterr()["over"])
+            return activate_batch(kind, z)
+
+        monkeypatch.setattr(modelspec, "activate_batch", spy)
+        with np.errstate(over="raise"):
+            forward(model, images[:96])
+        assert len(seen) == 3 * 9 and set(seen) == {"raise"}
+
+    @pytest.mark.parametrize("bad", [(40,), (10, 70)], ids=["later-chunk", "two-chunks"])
+    def test_error_names_the_whole_batch(self, model, images, bad):
+        batch = images[:96].copy()
+        for i in bad:
+            batch[i, 0, 1, 2] = np.inf
+        with np.errstate(invalid="ignore"):  # inf * 0 in the stem conv
+            with pytest.raises(actkit.DomainError) as whole:
+                _one_pass(model, batch)
+            with pytest.raises(actkit.DomainError) as chunked:
+                forward(model, batch)
+        assert str(chunked.value) == str(whole.value)
+        index = int(re.search(r"flat index (\d+)$", str(whole.value)).group(1))
+        assert str(whole.value).startswith("stem.act: relu batch (96, 8, 32, 32) has ")
+        assert index // (8 * 32 * 32) == bad[0]
+
+    def test_openblas_thread_count_restored(self, model, images, monkeypatch):
+        blas = modelspec._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS exports no known thread-count functions here")
+        get, put = blas
+        before = get()
+        during = []
+
+        def spy(kind, z):
+            during.append(get())
+            return activate_batch(kind, z)
+
+        monkeypatch.setattr(modelspec, "activate_batch", spy)
+        try:
+            put(2)
+            forward(model, images[:96])
+            assert get() == 2 and set(during) == {1}
+            bad = images[:96].copy()
+            bad[50, 0, 0, 0] = np.nan
+            with pytest.raises(actkit.DomainError):
+                forward(model, bad)
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_concurrent_and_nested_callers_run_serially(self, model, images):
+        batch = images[:96]
+        want = _one_pass(model, batch).tobytes()
+        with modelspec._pool_lock:  # as if another forward held the pool
+            assert forward(model, batch).tobytes() == want
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                got = list(callers.map(lambda _: forward(model, batch).tobytes(), range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 8
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_its_own_pool(self, model, images):
+        batch = images[:96]
+        want = forward(model, batch).tobytes()  # the parent's pool now exists
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send_bytes(forward(model, batch).tobytes()))
+        child.start()
+        try:
+            assert recv.poll(60), "the forked child's forward did not finish"
+            assert recv.recv_bytes() == want
+        finally:
+            child.join(30)
+            if child.is_alive():
+                child.kill()
+        assert not child.is_alive() and child.exitcode == 0
+
+
 class TestLossAndGradients:
     """End-to-end gradients cover every parameter and drive the loss down."""
 
@@ -486,6 +603,7 @@ from actkit import Rng, build_model, forward, gen_synthetic_images, loss_and_gra
 model = build_model(preset("mini-x3d"), Rng(7))
 data = gen_synthetic_images(32, seed=5)
 digest = hashlib.sha256(forward(model, data.images).tobytes())
+digest.update(forward(model, gen_synthetic_images(96, seed=6).images).tobytes())  # three chunks
 loss, grads = loss_and_gradients(model, data.images, data.labels)
 digest.update(repr(loss).encode())
 for name, g in grads.items():
