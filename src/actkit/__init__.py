@@ -60,7 +60,6 @@ from .modelspec import (
     GroupSelector,
     Model,
     ModelSpec,
-    band_selector,
     build_model,
     fingerprint,
     forward,
@@ -70,7 +69,6 @@ from .modelspec import (
     record_from_json,
     record_to_json,
     replace_activations,
-    site_selector,
 )
 from .smoother import (
     WindowSweepRow,

@@ -59,7 +59,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    placements = _parse_list(args.placements, GroupSelector.from_string)
+    placements = _parse_list(args.placements, GroupSelector)
     reports = run_grid(cfg, placements, ActivationKind.from_name(args.to))
     emit_report(reports, args.out)
     for rep in reports:

@@ -165,12 +165,15 @@ def load_datasets(cfg: DataConfig) -> tuple[ImageDataset, ImageDataset]:
 
 
 def evaluate(model: Model, ds: ImageDataset, batch_size: int = 256) -> float:
-    """Top-1 accuracy over the dataset, evaluated in fixed-order batches."""
+    """Top-1 accuracy over the dataset, evaluated in order as ceil(n / batch_size) near-equal
+    batches, so no batch holds 1 or 2 images (which sum in another order) unless the set does."""
+    n = len(ds)
+    k = -(-n // batch_size)
     correct = 0
-    for start in range(0, len(ds), batch_size):
-        logits = forward(model, ds.images[start : start + batch_size])
-        correct += int((logits.argmax(axis=1) == ds.labels[start : start + batch_size]).sum())
-    return correct / len(ds)
+    for j in range(k):
+        lo, hi = n * j // k, n * (j + 1) // k
+        correct += int((forward(model, ds.images[lo:hi]).argmax(axis=1) == ds.labels[lo:hi]).sum())
+    return correct / n
 
 
 def _train_single(
@@ -245,7 +248,7 @@ def run_grid(
     for sel in placements:
         sel.match(sites)
         step = SurgeryStep(selector=sel, from_kind=None, to_kind=to_kind)
-        cells.append(replace(base_cfg, surgery=(step,), label=f"{sel.as_string()}->{to_kind.value}"))
+        cells.append(replace(base_cfg, surgery=(step,), label=f"{sel.text}->{to_kind.value}"))
     data = load_datasets(base_cfg.dataset)
     return [run_experiment(cell, data=data) for cell in cells]
 

@@ -9,6 +9,7 @@ a function of the seed alone, never of the activation kinds.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -130,9 +131,6 @@ class GroupSelector:
                 )
         object.__setattr__(self, "text", text)
 
-    def as_string(self) -> str:
-        return self.text
-
     @classmethod
     def from_string(cls, text: str) -> "GroupSelector":
         return cls(text)
@@ -150,18 +148,12 @@ class GroupSelector:
         return matched
 
 
+# Aliases of GroupSelector(text), kept (with from_string) only because perfbench's
+# workloads call them; they go when the benchmark next changes.
 INITIAL = GroupSelector("initial")
 MIDDLE = GroupSelector("middle")
 LAST = GroupSelector("last")
 ALL = GroupSelector("all")
-
-
-def band_selector(band: str) -> GroupSelector:
-    return GroupSelector(f"band:{band}")
-
-
-def site_selector(site_id: str) -> GroupSelector:
-    return GroupSelector(f"site:{site_id}")
 
 
 def preset(name: str, blocks_per_stage: tuple[int, int, int, int] = (1, 1, 1, 1)) -> ModelSpec:
@@ -227,14 +219,14 @@ def replace_activations(
 
 
 # Field types written as JSON text, each with its parser.
-_FROM_TEXT = {str: str, ActivationKind: ActivationKind.from_name, GroupSelector: GroupSelector.from_string}
+_FROM_TEXT = {str: str, ActivationKind: ActivationKind.from_name, GroupSelector: GroupSelector}
 
 
 def record_to_json(value):
     """JSON form of a record: a dataclass's fields in order under their JSON keys (a field's
     "json" metadata, else its name), kinds by name, selectors as text, tuples as lists."""
     if isinstance(value, GroupSelector):
-        return value.as_string()
+        return value.text
     if isinstance(value, ActivationKind):
         return value.value
     if isinstance(value, tuple):
@@ -370,22 +362,11 @@ def _forward_internal(model: Model, batch: np.ndarray, record: bool):
 # OpenBLAS's small-matrix kernels (another summation order): the logits equal one
 # whole-batch pass bit for bit, whatever the core count.
 _CHUNK_IMAGES = 32
-# (thread pool, OpenBLAS (get, set) thread-count functions or None), made by the first
-# forward with two or more chunks; the lock lets one forward at a time use it.
-_pool = None
+# lets one forward at a time hold OpenBLAS at one thread and run chunks on a pool
 _pool_lock = threading.Lock()
 
 
-def _forget_pool() -> None:
-    # a forked child has none of the parent's pool threads, and maybe a lock held by one
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
+@functools.cache
 def _openblas_threads():
     """(get, set) for the thread count of the OpenBLAS that numpy's wheel ships in
     numpy.libs, or None if no library there exports a known pair."""
@@ -405,16 +386,6 @@ def _openblas_threads():
     return None
 
 
-def _start_pool():
-    global _pool
-    from concurrent.futures import ThreadPoolExecutor
-
-    blas = _openblas_threads()
-    workers = len(os.sched_getaffinity(0)) if blas else 1
-    _pool = ThreadPoolExecutor(workers, thread_name_prefix="actkit-forward"), blas
-    return _pool
-
-
 def _forward_chunk(model: Model, chunk: np.ndarray, err: dict) -> np.ndarray:
     # a pool thread starts with numpy's default error handling, not the caller's
     with np.errstate(**err):
@@ -425,30 +396,34 @@ def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Run the model on an NCHW batch; returns (N, num_classes) logits. Pure.
 
     A batch of n >= 64 images runs as n // 32 near-equal chunks of whole images on a
-    private pool with one thread per core, while OpenBLAS is held at one thread; the
-    logits are the same bits as one whole-batch pass. An error in any chunk re-runs
-    the whole batch in the caller's thread, so it names the whole batch's shape and
-    indices. A nested or concurrent call, a smaller batch, or a process without
-    numpy's OpenBLAS thread controls runs on one thread.
+    thread pool made for the call, with one thread per core, while OpenBLAS is held at
+    one thread; the logits are the same bits as one whole-batch pass. An error in any
+    chunk re-runs the whole batch in the caller's thread, so it names the whole batch's
+    shape and indices. A nested or concurrent call, a smaller batch, or a process
+    without numpy's OpenBLAS thread controls runs on one thread.
     """
     batch = np.asarray(batch)
     n = batch.shape[0] if batch.ndim == 4 else 0
     chunks = n // _CHUNK_IMAGES
-    lock = _pool_lock
-    if chunks < 2 or not lock.acquire(blocking=False):
+    if chunks < 2 or not _pool_lock.acquire(blocking=False):
         return _forward_internal(model, batch, record=False)[0]
     try:
-        pool, blas = _pool or _start_pool()
+        from concurrent.futures import ThreadPoolExecutor
+
+        blas = _openblas_threads()
+        workers = len(os.sched_getaffinity(0)) if blas else 1
         threads = blas[0]() if blas else None
         if blas:
             blas[1](1)
         try:
             err = np.geterr()
-            futures = [
-                pool.submit(_forward_chunk, model, batch[n * j // chunks : n * (j + 1) // chunks], err)
-                for j in range(chunks)
-            ]
-            errors = [f.exception() for f in futures]  # waits for every chunk
+            # leaving the block waits for every chunk and ends the pool's threads
+            with ThreadPoolExecutor(workers, thread_name_prefix="actkit-forward") as pool:
+                futures = [
+                    pool.submit(_forward_chunk, model, batch[n * j // chunks : n * (j + 1) // chunks], err)
+                    for j in range(chunks)
+                ]
+            errors = [f.exception() for f in futures]
         finally:
             if blas:
                 blas[1](threads)
@@ -457,7 +432,7 @@ def forward(model: Model, batch: np.ndarray) -> np.ndarray:
             raise next(e for e in errors if e)
         return np.concatenate([f.result() for f in futures])
     finally:
-        lock.release()
+        _pool_lock.release()
 
 
 def loss_and_gradients(

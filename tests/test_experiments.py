@@ -18,6 +18,7 @@ from actkit import (
     DataConfig,
     DomainError,
     ExperimentConfig,
+    GroupSelector,
     Hyperparams,
     Rng,
     SurgeryStep,
@@ -32,7 +33,6 @@ from actkit import (
     replace_activations,
     run_experiment,
     run_grid,
-    site_selector,
 )
 from actkit import ModelSpec, experiments, record_from_json, record_to_json
 from actkit.experiments import ExperimentReport, SeedRun
@@ -155,7 +155,7 @@ class TestRunExperiment:
         assert plain.spec_fingerprint != surgered.spec_fingerprint
 
     def test_unknown_site_surgery_rejected(self):
-        step = SurgeryStep(selector=site_selector("stage7.block1.act_a"), from_kind=None, to_kind=HS)
+        step = SurgeryStep(selector=GroupSelector("site:stage7.block1.act_a"), from_kind=None, to_kind=HS)
         with pytest.raises(ConfigError):
             run_experiment(tiny_config(surgery=(step,)))
 
@@ -259,6 +259,24 @@ class TestEvaluate:
         ds = gen_synthetic_images(50, seed=2)
         assert evaluate(model, ds, batch_size=7) == evaluate(model, ds, batch_size=50)
 
+    @pytest.mark.parametrize("n", [257, 258, 513])
+    def test_batches_are_near_equal_and_never_tiny(self, n, monkeypatch):
+        """A batch of 1 or 2 images can round differently (OpenBLAS's small-matrix kernels),
+        so the set is cut into near-equal batches of at most 256 whole images, in order."""
+        ds = gen_synthetic_images(n, seed=3)
+        seen = []
+
+        def spy(model, batch):
+            seen.append(batch)
+            return np.zeros((len(batch), 10), dtype=np.float32)
+
+        monkeypatch.setattr(experiments, "forward", spy)
+        evaluate(None, ds)
+        sizes = [len(b) for b in seen]
+        assert len(sizes) == -(-n // 256) and max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= 3 and max(sizes) <= 256
+        assert np.array_equal(np.concatenate(seen), ds.images)
+
 
 class TestGrid:
     def test_five_reports_shared_protocol(self):
@@ -300,7 +318,7 @@ class TestGrid:
 
         monkeypatch.setattr(experiments, "load_datasets", no_data)
         with pytest.raises(ConfigError) as info:
-            run_grid(tiny_config(preset=preset_name), [ALL, site_selector("stage9.block1.act_a")], HS)
+            run_grid(tiny_config(preset=preset_name), [ALL, GroupSelector("site:stage9.block1.act_a")], HS)
         assert str(info.value) == message
 
     def test_config_surgery_rejected_before_data_is_loaded(self, monkeypatch):
@@ -372,7 +390,7 @@ class TestSerialization:
     def test_every_record_round_trips_through_json_text(self):
         spec, _ = replace_activations(preset("mini-x3d"), MIDDLE, None, HS)
         steps = (
-            SurgeryStep(selector=site_selector("stage1.block1.act_b"), from_kind=None, to_kind=HS),
+            SurgeryStep(selector=GroupSelector("site:stage1.block1.act_b"), from_kind=None, to_kind=HS),
             SurgeryStep(selector=LAST, from_kind=ActivationKind.RELU, to_kind=HS),
         )
         for value in [spec, tiny_config(surgery=steps), hand_built_report()]:

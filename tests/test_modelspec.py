@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from actkit import (
     ModelSpec,
     Rng,
     activate_batch,
-    band_selector,
     build_model,
     conv2d_forward,
     dense_forward,
@@ -43,7 +43,6 @@ from actkit import (
     record_from_json,
     record_to_json,
     replace_activations,
-    site_selector,
     softmax_cross_entropy,
 )
 
@@ -123,8 +122,8 @@ class TestSelectors:
     """String forms, matching scope, and the partition property."""
 
     def test_string_round_trip(self):
-        for sel in (INITIAL, MIDDLE, LAST, ALL, band_selector(BAND_A), site_selector("stem.act")):
-            assert GroupSelector.from_string(sel.as_string()) == sel
+        for sel in (INITIAL, MIDDLE, LAST, ALL, GroupSelector("band:a"), GroupSelector("site:stem.act")):
+            assert GroupSelector(sel.text) == sel
 
     @pytest.mark.parametrize(
         "text, canonical, selector",
@@ -134,20 +133,20 @@ class TestSelectors:
             ("  MIDDLE\t", "middle", MIDDLE),
             ("last ", "last", LAST),
             ("ALL", "all", ALL),
-            ("band:a", "band:a", band_selector(BAND_A)),
-            ("band: a", "band:a", band_selector(BAND_A)),
-            (" Band:A ", "band:a", band_selector(BAND_A)),
-            ("BAND:B", "band:b", band_selector(BAND_B)),
-            ("band:b", "band:b", band_selector("b")),
-            ("site:stem.act", "site:stem.act", site_selector("stem.act")),
-            ("Site:stage1.block1.act_a", "site:stage1.block1.act_a", site_selector("stage1.block1.act_a")),
-            (" SITE: Stage1.Block1.ACT_A ", "site:Stage1.Block1.ACT_A", site_selector("Stage1.Block1.ACT_A")),
+            ("band:a", "band:a", GroupSelector("band:a")),
+            ("band: a", "band:a", GroupSelector("band:a")),
+            (" Band:A ", "band:a", GroupSelector("band:a")),
+            ("BAND:B", "band:b", GroupSelector("band:b")),
+            ("band:b", "band:b", GroupSelector("band:B")),
+            ("site:stem.act", "site:stem.act", GroupSelector("site:stem.act")),
+            ("Site:stage1.block1.act_a", "site:stage1.block1.act_a", GroupSelector("site:stage1.block1.act_a")),
+            (" SITE: Stage1.Block1.ACT_A ", "site:Stage1.Block1.ACT_A", GroupSelector("site:Stage1.Block1.ACT_A")),
         ],
     )
     def test_from_string_canonical_form(self, text, canonical, selector):
         """Every accepted spelling parses to one selector, whose text is the canonical form."""
         sel = GroupSelector.from_string(text)
-        assert sel.as_string() == canonical
+        assert sel.text == canonical
         assert sel == selector == GroupSelector.from_string(canonical)
 
     def test_unknown_string_rejected(self):
@@ -183,12 +182,12 @@ class TestSelectors:
 
     def test_band_selector_scope(self):
         spec = preset("mini-resnet")
-        changed = self._changed_ids(spec, band_selector(BAND_A))
+        changed = self._changed_ids(spec, GroupSelector("band:a"))
         assert changed == {f"stage{k}.block1.act_a" for k in (1, 2, 3, 4)}
 
     def test_site_selector_scope(self):
         spec = preset("mini-resnet")
-        assert self._changed_ids(spec, site_selector("stage3.block1.act_b")) == {
+        assert self._changed_ids(spec, GroupSelector("site:stage3.block1.act_b")) == {
             "stage3.block1.act_b"
         }
 
@@ -252,7 +251,7 @@ class TestSurgery:
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ConfigError):
-            replace_activations(preset("mini-resnet"), site_selector("stage9.block1.act_a"), None, HS)
+            replace_activations(preset("mini-resnet"), GroupSelector("site:stage9.block1.act_a"), None, HS)
 
 
 class TestSerialization:
@@ -470,12 +469,14 @@ class TestChunkedForward:
     def test_bit_equal_for_any_worker_count(self, model, images, n, monkeypatch):
         batch = images[:n]
         want = _one_pass(model, batch).tobytes()
-        assert forward(model, batch).tobytes() == want  # the default pool: one worker per core
-        blas = (modelspec._pool or modelspec._start_pool())[1] if n >= 64 else None
-        for workers in (1, 4):
-            with ThreadPoolExecutor(workers) as pool:
-                monkeypatch.setattr(modelspec, "_pool", (pool, blas))
-                assert forward(model, batch).tobytes() == want
+        assert forward(model, batch).tobytes() == want  # one worker per core
+        for cores in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)))
+            assert forward(model, batch).tobytes() == want
+
+    def test_pool_threads_end_with_the_call(self, model, images):
+        forward(model, images[:96])
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("actkit-forward")]
 
     def test_chunks_get_the_callers_error_state(self, model, images, monkeypatch):
         seen = []
