@@ -21,7 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ActkitError, ConfigError, DomainError
 from .kernels import ActivationKind, activate_batch, activate_batch_backward
 from .tensor import (
     Rng,
@@ -386,53 +386,52 @@ def _openblas_threads():
     return None
 
 
-def _forward_chunk(model: Model, chunk: np.ndarray, err: dict) -> np.ndarray:
+def _forward_chunk(model: Model, batch: np.ndarray, lo: int, hi: int, err: dict) -> np.ndarray:
+    """Logits of images lo..hi-1, with them in front of an ActkitError's message."""
     # a pool thread starts with numpy's default error handling, not the caller's
     with np.errstate(**err):
-        return _forward_internal(model, chunk, record=False)[0]
+        try:
+            return _forward_internal(model, batch[lo:hi], record=False)[0]
+        except ActkitError as exc:
+            raise type(exc)(f"images {lo}-{hi - 1} of {len(batch)}: {exc}") from exc
 
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Run the model on an NCHW batch; returns (N, num_classes) logits. Pure.
 
-    A batch of n >= 64 images runs as n // 32 near-equal chunks of whole images on a
-    thread pool made for the call, with one thread per core, while OpenBLAS is held at
-    one thread; the logits are the same bits as one whole-batch pass. An error in any
-    chunk re-runs the whole batch in the caller's thread, so it names the whole batch's
-    shape and indices. A nested or concurrent call, a smaller batch, or a process
-    without numpy's OpenBLAS thread controls runs on one thread.
+    A batch of n >= 64 images always runs as n // 32 near-equal chunks of whole images,
+    so its peak memory is a few chunks', not the batch's, and the logits are the same
+    bits as one whole-batch pass. The chunks run on a thread pool made for the call, with one thread
+    per core, while OpenBLAS is held at one thread; a nested or concurrent call, or a
+    process without numpy's OpenBLAS thread controls, runs them in order on its own
+    thread. The first chunk (in order) to raise an ActkitError re-raises it with its
+    images in front, e.g. "images 32-63 of 96: stem.act: ..."; any other exception
+    propagates as it is. A smaller batch runs in one pass.
     """
     batch = np.asarray(batch)
     n = batch.shape[0] if batch.ndim == 4 else 0
     chunks = n // _CHUNK_IMAGES
-    if chunks < 2 or not _pool_lock.acquire(blocking=False):
+    if chunks < 2:
         return _forward_internal(model, batch, record=False)[0]
+    err = np.geterr()
+    bounds = [(n * j // chunks, n * (j + 1) // chunks) for j in range(chunks)]
+    blas = _openblas_threads()
+    if blas is None or not _pool_lock.acquire(blocking=False):
+        return np.concatenate([_forward_chunk(model, batch, lo, hi, err) for lo, hi in bounds])
     try:
         from concurrent.futures import ThreadPoolExecutor
 
-        blas = _openblas_threads()
-        workers = len(os.sched_getaffinity(0)) if blas else 1
-        threads = blas[0]() if blas else None
-        if blas:
-            blas[1](1)
+        threads = blas[0]()
+        blas[1](1)
         try:
-            err = np.geterr()
             # leaving the block waits for every chunk and ends the pool's threads
-            with ThreadPoolExecutor(workers, thread_name_prefix="actkit-forward") as pool:
-                futures = [
-                    pool.submit(_forward_chunk, model, batch[n * j // chunks : n * (j + 1) // chunks], err)
-                    for j in range(chunks)
-                ]
-            errors = [f.exception() for f in futures]
+            with ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="actkit-forward") as pool:
+                futures = [pool.submit(_forward_chunk, model, batch, lo, hi, err) for lo, hi in bounds]
         finally:
-            if blas:
-                blas[1](threads)
-        if any(errors):
-            _forward_internal(model, batch, record=False)  # raises the error the whole batch meets
-            raise next(e for e in errors if e)
-        return np.concatenate([f.result() for f in futures])
+            blas[1](threads)
     finally:
         _pool_lock.release()
+    return np.concatenate([f.result() for f in futures])
 
 
 def loss_and_gradients(

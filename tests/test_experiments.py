@@ -26,6 +26,7 @@ from actkit import (
     build_model,
     emit_report,
     evaluate,
+    forward,
     gen_synthetic_images,
     load_datasets,
     param_hash,
@@ -34,7 +35,7 @@ from actkit import (
     run_experiment,
     run_grid,
 )
-from actkit import ModelSpec, experiments, record_from_json, record_to_json
+from actkit import ModelSpec, experiments, modelspec, record_from_json, record_to_json
 from actkit.experiments import ExperimentReport, SeedRun
 
 HS = ActivationKind.HARDSWISH
@@ -254,28 +255,23 @@ class TestEvaluate:
         acc = evaluate(model, ds)
         assert 0.0 <= acc <= 1.0
 
-    def test_batching_does_not_change_result(self):
-        model = build_model(preset("mini-resnet"), Rng(0))
-        ds = gen_synthetic_images(50, seed=2)
-        assert evaluate(model, ds, batch_size=7) == evaluate(model, ds, batch_size=50)
-
     @pytest.mark.parametrize("n", [257, 258, 513])
-    def test_batches_are_near_equal_and_never_tiny(self, n, monkeypatch):
-        """A batch of 1 or 2 images can round differently (OpenBLAS's small-matrix kernels),
-        so the set is cut into near-equal batches of at most 256 whole images, in order."""
+    def test_one_forward_call_over_the_whole_set(self, n, monkeypatch):
+        """forward cuts a large set into chunks itself, so evaluate hands it every image in
+        one call, and scores the logits of one whole-set pass."""
+        model = build_model(preset("mini-x3d"), Rng(4))
         ds = gen_synthetic_images(n, seed=3)
         seen = []
 
         def spy(model, batch):
             seen.append(batch)
-            return np.zeros((len(batch), 10), dtype=np.float32)
+            return forward(model, batch)
 
         monkeypatch.setattr(experiments, "forward", spy)
-        evaluate(None, ds)
-        sizes = [len(b) for b in seen]
-        assert len(sizes) == -(-n // 256) and max(sizes) - min(sizes) <= 1
-        assert min(sizes) >= 3 and max(sizes) <= 256
-        assert np.array_equal(np.concatenate(seen), ds.images)
+        acc = evaluate(model, ds)
+        assert len(seen) == 1 and np.array_equal(seen[0], ds.images)
+        logits = modelspec._forward_internal(model, ds.images, record=False)[0]
+        assert acc == int((logits.argmax(axis=1) == ds.labels).sum()) / n
 
 
 class TestGrid:

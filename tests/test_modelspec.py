@@ -8,7 +8,9 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -453,9 +455,10 @@ def _one_pass(model, batch):
 
 
 class TestChunkedForward:
-    """forward runs n >= 64 images as n // 32 chunks on a thread pool: the same bits as
-    one whole-batch pass for any worker count, the caller's numpy error state in every
-    chunk, the whole batch's error message, and OpenBLAS's thread count restored."""
+    """forward runs n >= 64 images as n // 32 chunks, on a thread pool or in order on the
+    caller's thread: the same bits as one whole-batch pass for any worker count, the
+    caller's numpy error state in every chunk, the failing chunk's images in front of its
+    error, memory bounded by a few chunks, and OpenBLAS's thread count restored."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -490,20 +493,72 @@ class TestChunkedForward:
             forward(model, images[:96])
         assert len(seen) == 3 * 9 and set(seen) == {"raise"}
 
-    @pytest.mark.parametrize("bad", [(40,), (10, 70)], ids=["later-chunk", "two-chunks"])
-    def test_error_names_the_whole_batch(self, model, images, bad):
+    @pytest.mark.parametrize("bad, lo", [((40,), 32), ((10, 70), 0)], ids=["later-chunk", "two-chunks"])
+    def test_error_names_its_chunk(self, model, images, bad, lo):
         batch = images[:96].copy()
         for i in bad:
             batch[i, 0, 1, 2] = np.inf
         with np.errstate(invalid="ignore"):  # inf * 0 in the stem conv
-            with pytest.raises(actkit.DomainError) as whole:
-                _one_pass(model, batch)
+            with pytest.raises(actkit.DomainError) as one:
+                _one_pass(model, batch[lo : lo + 32])
             with pytest.raises(actkit.DomainError) as chunked:
                 forward(model, batch)
-        assert str(chunked.value) == str(whole.value)
-        index = int(re.search(r"flat index (\d+)$", str(whole.value)).group(1))
-        assert str(whole.value).startswith("stem.act: relu batch (96, 8, 32, 32) has ")
-        assert index // (8 * 32 * 32) == bad[0]
+        assert str(chunked.value) == f"images {lo}-{lo + 31} of 96: {one.value}"
+        index = int(re.search(r"flat index (\d+)$", str(one.value)).group(1))
+        assert str(one.value).startswith("stem.act: relu batch (32, 8, 32, 32) has ")
+        assert lo + index // (8 * 32 * 32) == bad[0]
+
+    def test_shape_error_names_its_chunk(self, model):
+        with pytest.raises(actkit.ShapeError) as got:
+            forward(model, np.zeros((96, 3, 32, 0), dtype=np.float32))
+        assert str(got.value) == (
+            "images 0-31 of 96: conv input needs channels, height and width >= 1, got shape (32, 3, 32, 0)"
+        )
+
+    def test_other_errors_propagate_unchanged(self, model, images, monkeypatch):
+        boom = MemoryError("boom")
+
+        def spy(kind, z):
+            raise boom
+
+        monkeypatch.setattr(modelspec, "activate_batch", spy)
+        with pytest.raises(MemoryError) as got:
+            forward(model, images[:96])
+        assert got.value is boom
+
+    @pytest.mark.parametrize("case, limit", [("pool-busy", 16), ("non-finite", 24)])
+    def test_peak_memory_is_a_few_chunks(self, model, monkeypatch, case, limit):
+        """512 images in one pass peak at about 80 MiB (traced numpy buffers). Chunked,
+        the peak is one chunk's with the pool busy, and two workers' chunks when a
+        chunk raises: nothing re-runs the whole batch."""
+        batch = gen_synthetic_images(512, seed=13).images
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        if case == "non-finite":
+            batch[300, 0, 1, 2] = np.inf
+        tracemalloc.start()
+        try:
+            busy = modelspec._pool_lock if case == "pool-busy" else nullcontext()
+            raises = pytest.raises(actkit.DomainError) if case == "non-finite" else nullcontext()
+            with np.errstate(invalid="ignore"), busy, raises:
+                forward(model, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20
+
+    def test_without_blas_controls_chunks_run_on_the_callers_thread(self, model, images, monkeypatch):
+        batch = images[:96]
+        want = _one_pass(model, batch).tobytes()
+        threads = []
+
+        def spy(kind, z):
+            threads.append(threading.get_ident())
+            return activate_batch(kind, z)
+
+        monkeypatch.setattr(modelspec, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(modelspec, "activate_batch", spy)
+        assert forward(model, batch).tobytes() == want
+        assert len(threads) == 3 * 9 and set(threads) == {threading.get_ident()}
 
     def test_openblas_thread_count_restored(self, model, images, monkeypatch):
         blas = modelspec._openblas_threads()
@@ -547,7 +602,7 @@ class TestChunkedForward:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_starts_its_own_pool(self, model, images):
         batch = images[:96]
-        want = forward(model, batch).tobytes()  # the parent's pool now exists
+        want = forward(model, batch).tobytes()  # the parent has run (and ended) a pool
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=lambda: send.send_bytes(forward(model, batch).tobytes()))
