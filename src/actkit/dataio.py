@@ -136,6 +136,9 @@ def _quadrant_pattern(label: int) -> np.ndarray:
     return img
 
 
+_NOISE_BLOCK_IMAGES = 16
+
+
 def gen_synthetic_images(n: int, seed: int, noise: float = 0.1) -> ImageDataset:
     """n quadrant-coded images with labels cycling 0..9 and uniform noise in [-noise, +noise]."""
     if n < 1:
@@ -146,9 +149,13 @@ def gen_synthetic_images(n: int, seed: int, noise: float = 0.1) -> ImageDataset:
     base = np.stack([_quadrant_pattern(k) for k in range(CIFAR_CLASSES)])
     images = base[labels]
     if noise > 0:
-        u = Rng(seed).uniforms(images.size).reshape(images.shape)
-        images = (images + (2.0 * u - 1.0) * noise).astype(np.float32)
-    return ImageDataset(np.ascontiguousarray(images), labels)
+        # a block of images at a time, so the float64 noise temporaries stay a block's
+        rng = Rng(seed)
+        for lo in range(0, n, _NOISE_BLOCK_IMAGES):
+            block = images[lo : lo + _NOISE_BLOCK_IMAGES]
+            u = rng.uniforms(block.size).reshape(block.shape)
+            block[...] = block + (2.0 * u - 1.0) * noise
+    return ImageDataset(images, labels)
 
 
 def gen_synthetic_phases(

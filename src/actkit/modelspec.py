@@ -9,6 +9,7 @@ a function of the seed alone, never of the activation kinds.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -362,7 +363,7 @@ def _forward_internal(model: Model, batch: np.ndarray, record: bool):
 # OpenBLAS's small-matrix kernels (another summation order): the logits equal one
 # whole-batch pass bit for bit, whatever the core count.
 _CHUNK_IMAGES = 32
-# lets one forward at a time hold OpenBLAS at one thread and run chunks on a pool
+# lets one _chunk_pool block at a time hold OpenBLAS at one thread and start threads
 _pool_lock = threading.Lock()
 
 
@@ -386,52 +387,108 @@ def _openblas_threads():
     return None
 
 
-def _forward_chunk(model: Model, batch: np.ndarray, lo: int, hi: int, err: dict) -> np.ndarray:
-    """Logits of images lo..hi-1, with them in front of an ActkitError's message."""
-    # a pool thread starts with numpy's default error handling, not the caller's
-    with np.errstate(**err):
-        try:
-            return _forward_internal(model, batch[lo:hi], record=False)[0]
-        except ActkitError as exc:
-            raise type(exc)(f"images {lo}-{hi - 1} of {len(batch)}: {exc}") from exc
+@contextlib.contextmanager
+def _chunk_pool():
+    """A thread pool for the _run_chunks calls inside the block: one thread per core but
+    the caller's, with OpenBLAS held at one thread; the threads end with the block.
 
-
-def forward(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Run the model on an NCHW batch; returns (N, num_classes) logits. Pure.
-
-    A batch of n >= 64 images always runs as n // 32 near-equal chunks of whole images,
-    so its peak memory is a few chunks', not the batch's, and the logits are the same
-    bits as one whole-batch pass. The chunks run on a thread pool made for the call, with one thread
-    per core, while OpenBLAS is held at one thread; a nested or concurrent call, or a
-    process without numpy's OpenBLAS thread controls, runs them in order on its own
-    thread. The first chunk (in order) to raise an ActkitError re-raises it with its
-    images in front, e.g. "images 32-63 of 96: stem.act: ..."; any other exception
-    propagates as it is. A smaller batch runs in one pass.
+    Yields None, so that the caller runs every chunk, on one core, without numpy's
+    OpenBLAS thread controls, or while another block holds the pool (a nested or
+    concurrent caller). A training run opens one block for all its steps: a thread
+    started per step could start before the last one had handed back its malloc arena,
+    and each extra arena keeps a chunk's worth of memory.
     """
-    batch = np.asarray(batch)
-    n = batch.shape[0] if batch.ndim == 4 else 0
-    chunks = n // _CHUNK_IMAGES
-    if chunks < 2:
-        return _forward_internal(model, batch, record=False)[0]
-    err = np.geterr()
-    bounds = [(n * j // chunks, n * (j + 1) // chunks) for j in range(chunks)]
     blas = _openblas_threads()
-    if blas is None or not _pool_lock.acquire(blocking=False):
-        return np.concatenate([_forward_chunk(model, batch, lo, hi, err) for lo, hi in bounds])
+    workers = len(os.sched_getaffinity(0)) - 1 if blas is not None else 0
+    if workers < 1 or not _pool_lock.acquire(blocking=False):
+        yield None
+        return
     try:
         from concurrent.futures import ThreadPoolExecutor
 
         threads = blas[0]()
         blas[1](1)
         try:
-            # leaving the block waits for every chunk and ends the pool's threads
-            with ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="actkit-forward") as pool:
-                futures = [pool.submit(_forward_chunk, model, batch, lo, hi, err) for lo, hi in bounds]
+            with ThreadPoolExecutor(workers, thread_name_prefix="actkit-chunks") as pool:
+                yield pool
         finally:
             blas[1](threads)
     finally:
         _pool_lock.release()
-    return np.concatenate([f.result() for f in futures])
+
+
+def _cut(n: int, size: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of n images cut into n // size near-equal chunks of whole images."""
+    k = n // size
+    return [(n * j // k, n * (j + 1) // k) for j in range(k)]
+
+
+def _run_chunks(fn, bounds: list[tuple[int, int]], pool) -> list:
+    """[fn(lo, hi) for lo, hi in bounds], run by the caller's thread and the threads of
+    `pool` (a _chunk_pool, or None for the caller alone).
+
+    The threads take chunk indices in order from one shared iterator, each under the
+    caller's numpy error state. Once a chunk raises, no new chunk starts; the running
+    ones finish, and the lowest failing index is re-raised: an ActkitError as the same
+    class with the chunk's images in front ("images 32-63 of 96: ..."), any other
+    exception as it is.
+    """
+    err = np.geterr()
+    results = [None] * len(bounds)
+    failed: dict[int, BaseException] = {}
+    jobs = iter(range(len(bounds)))
+    take = threading.Lock()
+
+    def work() -> None:
+        # a pool thread starts with numpy's default error handling, not the caller's
+        with np.errstate(**err):
+            while True:
+                with take:
+                    j = None if failed else next(jobs, None)
+                if j is None:
+                    return
+                try:
+                    results[j] = fn(*bounds[j])
+                except BaseException as exc:
+                    with take:
+                        failed[j] = exc
+
+    # one helper per chunk but the caller's; the pool runs as many at once as it has threads
+    helpers = [pool.submit(work) for _ in bounds[1:]] if pool is not None else []
+    try:
+        work()
+    finally:
+        for h in helpers:
+            h.result()
+    if failed:
+        j = min(failed)
+        exc = failed[j]
+        if isinstance(exc, ActkitError):
+            lo, hi = bounds[j]
+            raise type(exc)(f"images {lo}-{hi - 1} of {bounds[-1][1]}: {exc}") from exc
+        raise exc
+    return results
+
+
+def forward(model: Model, batch: np.ndarray) -> np.ndarray:
+    """Run the model on an NCHW batch; returns (N, num_classes) logits. Pure.
+
+    A batch of n >= 64 images always runs as n // 32 near-equal chunks of whole images
+    on every core (_chunk_pool, _run_chunks), so its peak memory is a few chunks', not
+    the batch's, and the logits are the same bits as one whole-batch pass. The first
+    chunk (in order) to raise an ActkitError re-raises it with its images in front, e.g.
+    "images 32-63 of 96: stem.act: ..."; any other exception propagates as it is. A
+    smaller batch runs in one pass.
+    """
+    batch = np.asarray(batch)
+    bounds = _cut(batch.shape[0] if batch.ndim == 4 else 0, _CHUNK_IMAGES)
+    if len(bounds) < 2:
+        return _forward_internal(model, batch, record=False)[0]
+    with _chunk_pool() as pool:
+        chunks = _run_chunks(
+            lambda lo, hi: _forward_internal(model, batch[lo:hi], record=False)[0], bounds, pool
+        )
+    return np.concatenate(chunks)
 
 
 def loss_and_gradients(

@@ -2,6 +2,7 @@
 fixture, stratified subsetting, the synthetic generators, and phase CSVs."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from actkit import (
     FormatError,
     ImageDataset,
     PhaseSequence,
+    Rng,
     gen_synthetic_images,
     gen_synthetic_phases,
     load_cifar10_binary,
@@ -134,7 +136,7 @@ class TestSubset:
 
 
 class TestSyntheticImages:
-    """Quadrant-coded images: decodability, label cycling, determinism."""
+    """Quadrant-coded images: decodability, label cycling, determinism, blockwise noise."""
 
     def test_labels_cycle(self):
         ds = gen_synthetic_images(25, seed=0)
@@ -172,6 +174,24 @@ class TestSyntheticImages:
     def test_noise_out_of_bounds_rejected(self):
         with pytest.raises(DomainError):
             gen_synthetic_images(10, seed=0, noise=0.3)
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 320, 2000])
+    def test_blockwise_noise_equals_one_draw(self, n):
+        """The noise is drawn a block of images at a time; the bytes equal one draw for the whole set."""
+        images = gen_synthetic_images(10, seed=0, noise=0.0).images[np.arange(n) % 10]
+        u = Rng(4).uniforms(images.size).reshape(images.shape)
+        want = (images + (2.0 * u - 1.0) * 0.1).astype(np.float32)
+        assert gen_synthetic_images(n, seed=4).images.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_the_images_and_one_block(self):
+        """2000 images are 23.4 MiB of float32; one noise draw for all of them peaked at 211 MiB."""
+        tracemalloc.start()
+        try:
+            gen_synthetic_images(2000, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20
         with pytest.raises(DomainError):
             gen_synthetic_images(10, seed=0, noise=-0.1)
 

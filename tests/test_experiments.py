@@ -3,6 +3,7 @@ the placement grid, and config/report serialization. Training runs here are
 kept tiny; the desk-scale learning check lives in the acceptance suite."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -195,6 +196,90 @@ class TestRunExperiment:
         assert isinstance(site_err, DomainError) and msg[head.end() :] == str(site_err)
         assert re.match(r"(stem|stage\d\.block1)\.act(_a|_b)?: (relu|swish) batch \(16, ", str(site_err))
         assert head.group(3) == "none" or np.isfinite(float(head.group(3)))
+
+
+class TestChunkedStep:
+    """A training batch of n >= 32 images runs as n // 16 chunks on every core, combined as
+    the size-weighted sum in chunk order: the same bits on every executor path."""
+
+    @staticmethod
+    def step_bytes(model, data):
+        with modelspec._chunk_pool() as pool:
+            loss, grads = experiments._batch_loss_and_gradients(model, data.images, data.labels, pool)
+        return repr(loss).encode() + b"".join(name.encode() + g.tobytes() for name, g in grads.items())
+
+    @pytest.mark.parametrize("n", [32, 40])
+    def test_same_bits_on_every_path(self, n, monkeypatch):
+        model = build_model(preset("mini-x3d"), Rng(3))
+        data = gen_synthetic_images(n, seed=4)
+        want = self.step_bytes(model, data)
+        for cores in ({0}, {0, 1}):
+            with monkeypatch.context() as m:
+                m.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+                assert self.step_bytes(model, data) == want
+        monkeypatch.setattr(modelspec, "_openblas_threads", lambda: None)
+        assert self.step_bytes(model, data) == want
+
+    @pytest.mark.parametrize("n", [8, 31, 32, 33, 40, 48])
+    def test_close_to_one_pass(self, n):
+        """The weighted chunk sum is the whole-batch mean, up to float32 rounding; under 32
+        images the step is the one pass itself."""
+        model = build_model(preset("mini-x3d"), Rng(3))
+        data = gen_synthetic_images(n, seed=4)
+        loss, grads = experiments._batch_loss_and_gradients(model, data.images, data.labels, None)
+        want_loss, want = modelspec.loss_and_gradients(model, data.images, data.labels)
+        assert list(grads) == list(want)
+        if n < 32:
+            assert loss == want_loss and all(np.array_equal(grads[k], want[k]) for k in want)
+        assert loss == pytest.approx(want_loss, rel=1e-6)
+        for name, g in want.items():
+            assert np.allclose(grads[name], g, rtol=1e-4, atol=1e-6 * np.abs(g).max()), name
+
+    def test_one_pool_for_all_steps_of_a_run(self, monkeypatch):
+        """A pool per step would start a thread per step; one could start before the last had
+        handed back its malloc arena, and each extra arena holds a chunk's memory."""
+        if modelspec._openblas_threads() is None:
+            pytest.skip("without OpenBLAS thread controls training makes no pool")
+        import concurrent.futures
+
+        pools = []
+
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        cfg = tiny_config(
+            preset="mini-x3d",
+            dataset=DataConfig(source="synthetic-images", train_size=96, test_size=8),
+            hyperparams=Hyperparams(batch_size=32, epochs=2),
+            seeds=(1, 2),
+        )
+        run_experiment(cfg)  # 2 seeds x 2 epochs x 3 steps
+        assert len(pools) == 2
+
+    def test_error_names_seed_step_and_chunk(self):
+        """An inf pixel in the first batch's image 20 fails the 16-31 chunk's stem activation."""
+        seed = 1
+        spec = preset("mini-x3d")
+        rng = Rng(seed)
+        build_model(spec, rng)  # _train_single draws the init, then the epoch's order
+        order = np.argsort(rng.uniforms(64), kind="stable")
+        train, test = gen_synthetic_images(64, seed=5), gen_synthetic_images(8, seed=6)
+        train.images[order[20], 0, 1, 2] = np.inf
+        cfg = tiny_config(preset="mini-x3d", hyperparams=Hyperparams(batch_size=32, epochs=1), seeds=(seed,))
+        with np.errstate(invalid="ignore"):  # inf * 0 in the stem conv
+            with pytest.raises(DomainError) as caught:
+                run_experiment(cfg, data=(train, test))
+            chunk = order[16:32]
+            with pytest.raises(DomainError) as one:
+                modelspec.loss_and_gradients(build_model(spec, Rng(seed)), train.images[chunk], train.labels[chunk])
+        head = "seed 1 epoch 1 step 1 (last finite loss none): images 16-31 of 32: "
+        assert str(caught.value) == head + str(one.value)
+        assert str(one.value).startswith("stem.act: relu batch (16, 8, 32, 32) has ")
+        assert int(re.search(r"flat index (\d+)$", str(one.value)).group(1)) // (8 * 32 * 32) == 20 - 16
 
 
 class TestLearning:

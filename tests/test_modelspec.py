@@ -455,10 +455,11 @@ def _one_pass(model, batch):
 
 
 class TestChunkedForward:
-    """forward runs n >= 64 images as n // 32 chunks, on a thread pool or in order on the
-    caller's thread: the same bits as one whole-batch pass for any worker count, the
-    caller's numpy error state in every chunk, the failing chunk's images in front of its
-    error, memory bounded by a few chunks, and OpenBLAS's thread count restored."""
+    """forward runs n >= 64 images as n // 32 chunks, on the caller's thread and a pool
+    thread per other core, or on the caller's thread alone: the same bits as one whole-batch
+    pass for any worker count, the caller's numpy error state in every chunk, the failing
+    chunk's images in front of its error, no chunk started after a failure, memory bounded
+    by a few chunks, and OpenBLAS's thread count restored."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -479,7 +480,7 @@ class TestChunkedForward:
 
     def test_pool_threads_end_with_the_call(self, model, images):
         forward(model, images[:96])
-        assert not [t.name for t in threading.enumerate() if t.name.startswith("actkit-forward")]
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("actkit-chunks")]
 
     def test_chunks_get_the_callers_error_state(self, model, images, monkeypatch):
         seen = []
@@ -507,6 +508,46 @@ class TestChunkedForward:
         index = int(re.search(r"flat index (\d+)$", str(one.value)).group(1))
         assert str(one.value).startswith("stem.act: relu batch (32, 8, 32, 32) has ")
         assert lo + index // (8 * 32 * 32) == bad[0]
+
+    def test_stops_after_the_first_failing_chunk(self, model, monkeypatch):
+        """An inf in image 0 of 512 fails chunk 0 at its first activation. No chunk starts after
+        that, so each of the two threads finishes at most the one chunk (9 sites) it holds."""
+        batch = gen_synthetic_images(512, seed=13).images
+        batch[0, 0, 1, 2] = np.inf
+        calls = []
+
+        def spy(kind, z):
+            calls.append(kind)
+            return activate_batch(kind, z)
+
+        with np.errstate(invalid="ignore"):  # inf * 0 in the stem conv
+            with pytest.raises(actkit.DomainError) as one:
+                _one_pass(model, batch[:32])
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            monkeypatch.setattr(modelspec, "activate_batch", spy)
+            with pytest.raises(actkit.DomainError) as chunked:
+                forward(model, batch)
+        assert str(chunked.value) == f"images 0-31 of 512: {one.value}"
+        assert 1 <= len(calls) <= 9 * 2
+
+    def test_lowest_failing_chunk_wins_when_a_later_one_fails_first(self, monkeypatch):
+        if modelspec._openblas_threads() is None:
+            pytest.skip("without OpenBLAS thread controls the caller runs the chunks in order")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        later_failed = threading.Event()
+
+        def fn(lo, hi):
+            if lo == 0:  # runs on one thread until the other thread's chunk has raised
+                assert later_failed.wait(60)
+                raise actkit.DomainError("first")
+            later_failed.set()
+            raise actkit.DomainError("second")
+
+        with modelspec._chunk_pool() as pool:
+            assert pool is not None
+            with pytest.raises(actkit.DomainError) as got:
+                modelspec._run_chunks(fn, [(0, 16), (16, 32)], pool)
+        assert str(got.value) == "images 0-15 of 32: first"
 
     def test_shape_error_names_its_chunk(self, model):
         with pytest.raises(actkit.ShapeError) as got:
@@ -573,6 +614,7 @@ class TestChunkedForward:
             return activate_batch(kind, z)
 
         monkeypatch.setattr(modelspec, "activate_batch", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         try:
             put(2)
             forward(model, images[:96])
@@ -582,6 +624,10 @@ class TestChunkedForward:
             with pytest.raises(actkit.DomainError):
                 forward(model, bad)
             assert get() == 2
+            during.clear()  # one core makes no pool, so OpenBLAS keeps its count
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            forward(model, images[:96])
+            assert get() == 2 and set(during) == {2}
         finally:
             put(before)
 
@@ -656,21 +702,26 @@ class TestLossAndGradients:
 _DIGEST_SCRIPT = """
 import hashlib
 from actkit import Rng, build_model, forward, gen_synthetic_images, loss_and_gradients, preset
+from actkit.experiments import _batch_loss_and_gradients
 model = build_model(preset("mini-x3d"), Rng(7))
 data = gen_synthetic_images(32, seed=5)
 digest = hashlib.sha256(forward(model, data.images).tobytes())
 digest.update(forward(model, gen_synthetic_images(96, seed=6).images).tobytes())  # three chunks
-loss, grads = loss_and_gradients(model, data.images, data.labels)
-digest.update(repr(loss).encode())
-for name, g in grads.items():
-    digest.update(name.encode() + g.tobytes())
+steps = [loss_and_gradients(model, data.images, data.labels)]
+# two 16-image chunks on this thread, so OpenBLAS runs them at the environment's thread count
+steps.append(_batch_loss_and_gradients(model, data.images, data.labels, None))
+for loss, grads in steps:
+    digest.update(repr(loss).encode())
+    for name, g in grads.items():
+        digest.update(name.encode() + g.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_results_identical_across_blas_thread_counts():
     """Batch 32 makes the stage-1 GEMMs large enough for OpenBLAS to split them
-    across threads; logits, loss and every gradient must not change bitwise."""
+    across threads; logits, loss and every gradient, whole-batch and from the chunked
+    training step, must not change bitwise."""
     src = str(Path(actkit.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
