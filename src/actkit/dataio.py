@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, FormatError, ShapeError
-from .tensor import Rng
+from .tensor import Rng, check_integer_labels
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3*1024 channel-major pixel bytes
 CIFAR_CLASSES = 10
@@ -19,7 +19,8 @@ PHASE_ROW_SUM_TOL = 1e-3
 
 @dataclass(frozen=True)
 class ImageDataset:
-    """N images as float32 (N,3,32,32) in [0,1] plus int labels in [0,10)."""
+    """N >= 1 images as float32 (N,3,32,32) in [0,1] plus integer labels in [0,10); a DomainError
+    names the first label that is not one."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -29,20 +30,16 @@ class ImageDataset:
             raise ShapeError(f"images must be (N,3,32,32), got {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
             raise ShapeError("labels length must match image count")
+        if not len(self):
+            raise DomainError("an image dataset needs at least one image")
+        check_integer_labels(self.labels, "image labels", "image")
+        bad = (self.labels < 0) | (self.labels >= CIFAR_CLASSES)
+        if bad.any():
+            i = int(bad.argmax())
+            raise DomainError(f"image labels must lie in [0, {CIFAR_CLASSES}), got {self.labels[i]} at image {i}")
 
     def __len__(self) -> int:
         return self.images.shape[0]
-
-
-def check_integer_labels(labels: np.ndarray, what: str) -> None:
-    """Raise DomainError naming the first label that is fractional, NaN or infinite.
-    An integer dtype passes without a scan."""
-    if labels.dtype.kind in "biu":
-        return
-    whole = np.isfinite(labels) & (labels == np.trunc(labels))
-    if not whole.all():
-        i = int(np.argmin(whole))
-        raise DomainError(f"{what} labels must be integers, got {labels[i]} at frame {i}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,7 @@ class PhaseSequence:
         sums = self.probs.sum(axis=1)
         if not (np.abs(sums - 1.0).max() <= 1e-5):  # also rejects NaN
             raise DomainError("probability rows must sum to 1 within 1e-5")
-        check_integer_labels(self.truth, "truth")
+        check_integer_labels(self.truth, "truth labels", "frame")
         c = self.probs.shape[1]
         if self.truth.min() < 0 or self.truth.max() >= c:
             raise DomainError(f"truth labels must lie in [0, {c})")

@@ -2,11 +2,12 @@
 mean aggregation, wall-time capture, and CSV/JSON report emission.
 
 Every run is deterministic given (config, platform): model init, batch order,
-and evaluation all draw from one SplitMix64 stream per seed. A training batch of
-32 or more images runs as 16-image chunks on every core, and a forward of 64 or
-more images as 32-image chunks; the cuts depend only on the batch size, so the
-core count never changes the results. BLAS may run its GEMMs on several threads;
-results are bit-identical with 1 and 2 BLAS threads.
+and evaluation all draw from one SplitMix64 stream per seed. modelspec's
+loss_and_gradients runs a training batch of 32 or more images as 16-image chunks
+on every core, and forward 64 or more images as 32-image chunks; the cuts depend
+only on the batch size, so the core count never changes the results. A run holds
+one chunk pool for all its steps and its evaluation. BLAS may run its GEMMs on
+several threads; results are bit-identical with 1 and 2 BLAS threads.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from .modelspec import (
     Model,
     ModelSpec,
     _chunk_pool,
-    _cut,
     _is_finite,
     _is_int,
-    _run_chunks,
     build_model,
     fingerprint,
     forward,
@@ -175,35 +174,6 @@ def evaluate(model: Model, ds: ImageDataset) -> float:
     return int((forward(model, ds.images).argmax(axis=1) == ds.labels).sum()) / len(ds)
 
 
-# images per training chunk: the default 32-image batch runs as two chunks
-_TRAIN_CHUNK = 16
-
-
-def _batch_loss_and_gradients(
-    model: Model, images: np.ndarray, labels: np.ndarray, pool
-) -> tuple[float, dict[str, np.ndarray]]:
-    """loss_and_gradients of one training batch. A batch of n >= 32 images runs as n // 16
-    near-equal chunks on the caller's thread and `pool`'s (_run_chunks), combined as the
-    size-weighted sum in chunk order; the cut depends only on n, so any pool gives the same
-    bits. A chunk's ActkitError carries its images in front, e.g. "images 16-31 of 32: ..."."""
-    n = len(labels)
-    bounds = _cut(n, _TRAIN_CHUNK)
-    if len(bounds) < 2:
-        return loss_and_gradients(model, images, labels)
-    parts = _run_chunks(lambda lo, hi: loss_and_gradients(model, images[lo:hi], labels[lo:hi]), bounds, pool)
-    loss, grads = 0.0, {}
-    for (lo, hi), (part_loss, part_grads) in zip(bounds, parts):
-        share = (hi - lo) / n
-        loss += share * part_loss
-        for name, g in part_grads.items():
-            g *= np.float32(share)
-            if name in grads:
-                grads[name] += g
-            else:
-                grads[name] = g
-    return loss, grads
-
-
 def _train_single(
     spec: ModelSpec, train: ImageDataset, test: ImageDataset, hp: Hyperparams, seed: int
 ) -> SeedRun:
@@ -215,13 +185,13 @@ def _train_single(
 
     last_loss = None
     start = time.perf_counter()
-    with _chunk_pool() as pool:  # one pool for every step of the run
+    with _chunk_pool():  # one pool for every step of the run and its evaluation
         for epoch in range(1, hp.epochs + 1):
             order = np.argsort(rng.uniforms(n), kind="stable")
             for step, lo in enumerate(range(0, n, hp.batch_size), start=1):
                 idx = order[lo : lo + hp.batch_size]
                 try:
-                    loss, grads = _batch_loss_and_gradients(model, train.images[idx], train.labels[idx], pool)
+                    loss, grads = loss_and_gradients(model, train.images[idx], train.labels[idx])
                 except DomainError as err:
                     last = "none" if last_loss is None else repr(last_loss)
                     where = f"seed {seed} epoch {epoch} step {step} (last finite loss {last})"
@@ -229,14 +199,13 @@ def _train_single(
                 if math.isfinite(loss):
                     last_loss = loss
                 model.params, velocity = sgd_momentum_step(model.params, grads, velocity, hp.lr, hp.momentum)
-    train_seconds = time.perf_counter() - start
-
-    return SeedRun(
-        seed=seed,
-        test_accuracy=evaluate(model, test),
-        train_seconds=train_seconds,
-        init_param_hash=init_hash,
-    )
+        train_seconds = time.perf_counter() - start
+        return SeedRun(
+            seed=seed,
+            test_accuracy=evaluate(model, test),
+            train_seconds=train_seconds,
+            init_param_hash=init_hash,
+        )
 
 
 def run_experiment(

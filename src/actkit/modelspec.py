@@ -26,6 +26,7 @@ from .errors import ActkitError, ConfigError, DomainError
 from .kernels import ActivationKind, activate_batch, activate_batch_backward
 from .tensor import (
     Rng,
+    class_labels,
     conv2d_backward,
     conv2d_forward,
     dense_backward,
@@ -358,13 +359,14 @@ def _forward_internal(model: Model, batch: np.ndarray, record: bool):
     return logits, (z_stem, blocks, feats, cur.shape)
 
 
-# forward runs a batch of n images as n // _CHUNK_IMAGES near-equal chunks. Each chunk
-# holds at least this many images, so every conv GEMM has enough rows to stay out of
-# OpenBLAS's small-matrix kernels (another summation order): the logits equal one
-# whole-batch pass bit for bit, whatever the core count.
-_CHUNK_IMAGES = 32
+# forward runs a batch of n >= 64 images as n // 32 near-equal chunks, and loss_and_gradients
+# a batch of n >= 32 as n // 16. Each chunk holds at least this many images, so every conv
+# GEMM has enough rows to stay out of OpenBLAS's small-matrix kernels (another summation
+# order): a chunk's bits never depend on the core count.
+_FORWARD_CHUNK, _STEP_CHUNK = 32, 16
 # lets one _chunk_pool block at a time hold OpenBLAS at one thread and start threads
 _pool_lock = threading.Lock()
+_held = threading.local()  # .pool: the pool of the _chunk_pool block this thread holds
 
 
 @functools.cache
@@ -389,15 +391,18 @@ def _openblas_threads():
 
 @contextlib.contextmanager
 def _chunk_pool():
-    """A thread pool for the _run_chunks calls inside the block: one thread per core but
+    """The thread pool of the _run_chunks calls inside the block: one thread per core but
     the caller's, with OpenBLAS held at one thread; the threads end with the block.
 
-    Yields None, so that the caller runs every chunk, on one core, without numpy's
-    OpenBLAS thread controls, or while another block holds the pool (a nested or
-    concurrent caller). A training run opens one block for all its steps: a thread
-    started per step could start before the last one had handed back its malloc arena,
-    and each extra arena keeps a chunk's worth of memory.
+    A nested block on the thread that holds the pool gets the same pool. Yields None, so
+    that the caller runs every chunk, on one core, without numpy's OpenBLAS thread
+    controls, or on any other thread while one holds the pool. A training run opens one
+    block for its steps and evaluation: a thread started per step could start before the
+    last one had handed back its malloc arena, which keeps a chunk's worth of memory.
     """
+    if hasattr(_held, "pool"):
+        yield _held.pool
+        return
     blas = _openblas_threads()
     workers = len(os.sched_getaffinity(0)) - 1 if blas is not None else 0
     if workers < 1 or not _pool_lock.acquire(blocking=False):
@@ -409,9 +414,10 @@ def _chunk_pool():
         threads = blas[0]()
         blas[1](1)
         try:
-            with ThreadPoolExecutor(workers, thread_name_prefix="actkit-chunks") as pool:
-                yield pool
+            with ThreadPoolExecutor(workers, thread_name_prefix="actkit-chunks") as _held.pool:
+                yield _held.pool
         finally:
+            vars(_held).pop("pool", None)
             blas[1](threads)
     finally:
         _pool_lock.release()
@@ -423,9 +429,9 @@ def _cut(n: int, size: int) -> list[tuple[int, int]]:
     return [(n * j // k, n * (j + 1) // k) for j in range(k)]
 
 
-def _run_chunks(fn, bounds: list[tuple[int, int]], pool) -> list:
-    """[fn(lo, hi) for lo, hi in bounds], run by the caller's thread and the threads of
-    `pool` (a _chunk_pool, or None for the caller alone).
+def _run_chunks(fn, bounds: list[tuple[int, int]]) -> list:
+    """[fn(lo, hi) for lo, hi in bounds], run by the caller's thread and the threads of its
+    _chunk_pool, if it gets one.
 
     The threads take chunk indices in order from one shared iterator, each under the
     caller's numpy error state. Once a chunk raises, no new chunk starts; the running
@@ -453,13 +459,14 @@ def _run_chunks(fn, bounds: list[tuple[int, int]], pool) -> list:
                     with take:
                         failed[j] = exc
 
-    # one helper per chunk but the caller's; the pool runs as many at once as it has threads
-    helpers = [pool.submit(work) for _ in bounds[1:]] if pool is not None else []
-    try:
-        work()
-    finally:
-        for h in helpers:
-            h.result()
+    with _chunk_pool() as pool:
+        # one helper per chunk but the caller's; the pool runs as many at once as it has threads
+        helpers = [pool.submit(work) for _ in bounds[1:]] if pool is not None else []
+        try:
+            work()
+        finally:
+            for h in helpers:
+                h.result()
     if failed:
         j = min(failed)
         exc = failed[j]
@@ -474,27 +481,54 @@ def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Run the model on an NCHW batch; returns (N, num_classes) logits. Pure.
 
     A batch of n >= 64 images always runs as n // 32 near-equal chunks of whole images
-    on every core (_chunk_pool, _run_chunks), so its peak memory is a few chunks', not
-    the batch's, and the logits are the same bits as one whole-batch pass. The first
-    chunk (in order) to raise an ActkitError re-raises it with its images in front, e.g.
-    "images 32-63 of 96: stem.act: ..."; any other exception propagates as it is. A
-    smaller batch runs in one pass.
+    on every core (_run_chunks), so its peak memory is a few chunks', not the batch's,
+    and the logits are the same bits as one whole-batch pass. The first chunk (in order)
+    to raise an ActkitError re-raises it with its images in front, e.g. "images 32-63 of
+    96: stem.act: ..."; any other exception propagates as it is. A smaller batch runs in
+    one pass.
     """
     batch = np.asarray(batch)
-    bounds = _cut(batch.shape[0] if batch.ndim == 4 else 0, _CHUNK_IMAGES)
+    bounds = _cut(batch.shape[0] if batch.ndim == 4 else 0, _FORWARD_CHUNK)
     if len(bounds) < 2:
         return _forward_internal(model, batch, record=False)[0]
-    with _chunk_pool() as pool:
-        chunks = _run_chunks(
-            lambda lo, hi: _forward_internal(model, batch[lo:hi], record=False)[0], bounds, pool
-        )
+    chunks = _run_chunks(lambda lo, hi: _forward_internal(model, batch[lo:hi], record=False)[0], bounds)
     return np.concatenate(chunks)
 
 
 def loss_and_gradients(
     model: Model, batch: np.ndarray, labels: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy loss and exact parameter gradients for one batch."""
+    """Mean cross-entropy loss and parameter gradients for one batch.
+
+    A batch of n >= 32 images, once its labels pass class_labels, runs as n // 16 near-equal
+    chunks on every core (_run_chunks, as in forward), summed by chunk size in chunk order:
+    the same bits for any core count, within float32 rounding of one whole-batch pass. A
+    smaller batch runs in one pass.
+    """
+    batch = np.asarray(batch)
+    n = batch.shape[0] if batch.ndim == 4 else 0
+    bounds = _cut(n, _STEP_CHUNK)
+    if len(bounds) < 2:
+        return _loss_and_gradients_pass(model, batch, labels)
+    labels = class_labels(labels, n, model.spec.num_classes)
+    parts = _run_chunks(lambda lo, hi: _loss_and_gradients_pass(model, batch[lo:hi], labels[lo:hi]), bounds)
+    loss, grads = 0.0, {}
+    for (lo, hi), (part_loss, part_grads) in zip(bounds, parts):
+        share = (hi - lo) / n
+        loss += share * part_loss
+        for name, g in part_grads.items():
+            g *= np.float32(share)
+            if name in grads:
+                grads[name] += g
+            else:
+                grads[name] = g
+    return loss, grads
+
+
+def _loss_and_gradients_pass(
+    model: Model, batch: np.ndarray, labels: np.ndarray
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cross-entropy loss and exact parameter gradients for one batch, in one pass."""
     logits, (z_stem, blocks, feats, last_shape) = _forward_internal(model, batch, record=True)
     loss, g_logits = softmax_cross_entropy(logits, labels)
     p = model.params

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import PhaseSequence, check_integer_labels
+from .dataio import PhaseSequence
 from .errors import DomainError, ShapeError
+from .tensor import check_integer_labels
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ def frame_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     a, b = np.asarray(pred), np.asarray(truth)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ShapeError(f"need equal-length nonempty label vectors, got {a.shape} vs {b.shape}")
-    check_integer_labels(a, "predicted")
-    check_integer_labels(b, "truth")
+    check_integer_labels(a, "predicted labels", "frame")
+    check_integer_labels(b, "truth labels", "frame")
     return float(np.mean(a == b))
 
 

@@ -245,15 +245,35 @@ def global_avg_pool_backward(upstream: np.ndarray, height: int, width: int) -> n
     return np.ascontiguousarray(np.broadcast_to((up * scale)[:, :, None, None], (n, c, height, width)))
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy with max-subtraction, plus grad = (softmax - onehot) / N."""
-    z = _as_real(logits, 2, "logits")
-    y = np.asarray(labels, dtype=np.int64)
-    n, c = z.shape
+def check_integer_labels(labels: np.ndarray, what: str, unit: str) -> None:
+    """Raise DomainError naming the first label that is fractional, NaN or infinite, e.g.
+    "truth labels must be integers, got 0.5 at frame 3". An integer dtype passes without a scan."""
+    if labels.dtype.kind in "biu":
+        return
+    whole = np.isfinite(labels) & (labels == np.trunc(labels))
+    if not whole.all():
+        i = int(np.argmin(whole))
+        raise DomainError(f"{what} must be integers, got {labels[i]} at {unit} {i}")
+
+
+def class_labels(labels: np.ndarray, n: int, c: int) -> np.ndarray:
+    """labels as int64 class indices for n rows of c classes: a ShapeError unless the shape
+    is (n,), a DomainError for a fractional, NaN or infinite label or one outside [0, c)."""
+    y = np.asarray(labels)
     if y.shape != (n,):
         raise ShapeError(f"labels shape {y.shape} != ({n},)")
+    check_integer_labels(y, "labels", "index")
     if y.size and (y.min() < 0 or y.max() >= c):
         raise DomainError(f"labels must lie in [0, {c})")
+    return y.astype(np.int64, copy=False)
+
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy with max-subtraction, plus grad = (softmax - onehot) / N.
+    The labels are checked by class_labels."""
+    z = _as_real(logits, 2, "logits")
+    n, c = z.shape
+    y = class_labels(labels, n, c)
     zs = z - z.max(axis=1, keepdims=True)
     ez = np.exp(zs)
     denom = ez.sum(axis=1, keepdims=True)

@@ -430,6 +430,28 @@ class TestDatasetTypes:
         with pytest.raises(Exception):
             ImageDataset(np.zeros((2, 3, 32, 32), dtype=np.float32), np.zeros(3, dtype=np.int64))
 
+    def test_empty_image_set_rejected(self):
+        with pytest.raises(DomainError, match="^an image dataset needs at least one image$"):
+            ImageDataset(np.zeros((0, 3, 32, 32), dtype=np.float32), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0.5, 1, 12], "image labels must be integers, got 0.5 at image 0"),
+            ([0, np.nan, 1], "image labels must be integers, got nan at image 1"),
+            ([0, 1, 12], "image labels must lie in [0, 10), got 12 at image 2"),
+            ([0, -1, 1], "image labels must lie in [0, 10), got -1 at image 1"),
+        ],
+        ids=["fractional", "nan", "above", "negative"],
+    )
+    def test_labels_must_be_classes(self, labels, message):
+        with pytest.raises(DomainError) as err:
+            ImageDataset(np.zeros((3, 3, 32, 32), dtype=np.float32), np.array(labels))
+        assert str(err.value) == message
+
+    def test_integer_valued_float_labels_accepted(self):
+        assert len(ImageDataset(np.zeros((2, 3, 32, 32), dtype=np.float32), np.array([0.0, 9.0]))) == 2
+
     def test_phase_rows_must_be_stochastic(self):
         probs = np.full((4, 5), 0.3)
         with pytest.raises(Exception):

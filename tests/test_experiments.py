@@ -199,13 +199,13 @@ class TestRunExperiment:
 
 
 class TestChunkedStep:
-    """A training batch of n >= 32 images runs as n // 16 chunks on every core, combined as
-    the size-weighted sum in chunk order: the same bits on every executor path."""
+    """loss_and_gradients runs a batch of n >= 32 images as n // 16 chunks on every core,
+    combined as the size-weighted sum in chunk order: the same bits on every executor path.
+    A training run keeps one pool for all its steps and its evaluation."""
 
     @staticmethod
     def step_bytes(model, data):
-        with modelspec._chunk_pool() as pool:
-            loss, grads = experiments._batch_loss_and_gradients(model, data.images, data.labels, pool)
+        loss, grads = modelspec.loss_and_gradients(model, data.images, data.labels)
         return repr(loss).encode() + b"".join(name.encode() + g.tobytes() for name, g in grads.items())
 
     @pytest.mark.parametrize("n", [32, 40])
@@ -226,8 +226,8 @@ class TestChunkedStep:
         images the step is the one pass itself."""
         model = build_model(preset("mini-x3d"), Rng(3))
         data = gen_synthetic_images(n, seed=4)
-        loss, grads = experiments._batch_loss_and_gradients(model, data.images, data.labels, None)
-        want_loss, want = modelspec.loss_and_gradients(model, data.images, data.labels)
+        loss, grads = modelspec.loss_and_gradients(model, data.images, data.labels)
+        want_loss, want = modelspec._loss_and_gradients_pass(model, data.images, data.labels)
         assert list(grads) == list(want)
         if n < 32:
             assert loss == want_loss and all(np.array_equal(grads[k], want[k]) for k in want)
@@ -237,7 +237,8 @@ class TestChunkedStep:
 
     def test_one_pool_for_all_steps_of_a_run(self, monkeypatch):
         """A pool per step would start a thread per step; one could start before the last had
-        handed back its malloc arena, and each extra arena holds a chunk's memory."""
+        handed back its malloc arena, and each extra arena holds a chunk's memory. The 96-image
+        evaluation (3 forward chunks) runs on the run's pool too."""
         if modelspec._openblas_threads() is None:
             pytest.skip("without OpenBLAS thread controls training makes no pool")
         import concurrent.futures
@@ -253,11 +254,11 @@ class TestChunkedStep:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
         cfg = tiny_config(
             preset="mini-x3d",
-            dataset=DataConfig(source="synthetic-images", train_size=96, test_size=8),
+            dataset=DataConfig(source="synthetic-images", train_size=96, test_size=96),
             hyperparams=Hyperparams(batch_size=32, epochs=2),
             seeds=(1, 2),
         )
-        run_experiment(cfg)  # 2 seeds x 2 epochs x 3 steps
+        run_experiment(cfg)  # 2 seeds x (2 epochs x 3 steps + 1 evaluation)
         assert len(pools) == 2
 
     def test_error_names_seed_step_and_chunk(self):

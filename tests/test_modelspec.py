@@ -543,11 +543,35 @@ class TestChunkedForward:
             later_failed.set()
             raise actkit.DomainError("second")
 
-        with modelspec._chunk_pool() as pool:
-            assert pool is not None
-            with pytest.raises(actkit.DomainError) as got:
-                modelspec._run_chunks(fn, [(0, 16), (16, 32)], pool)
+        with pytest.raises(actkit.DomainError) as got:
+            modelspec._run_chunks(fn, [(0, 16), (16, 32)])
         assert str(got.value) == "images 0-15 of 32: first"
+
+    def test_nested_forward_runs_on_the_open_blocks_threads(self, model, images, monkeypatch):
+        """A forward inside an open _chunk_pool block on the same thread (as evaluate inside a
+        training run) gets that block's pool: the caller's first chunk waits until a pool thread
+        has run a chunk, which never happens if the nested call runs alone."""
+        if modelspec._openblas_threads() is None:
+            pytest.skip("without OpenBLAS thread controls there is no pool")
+        batch = images[:96]
+        want = _one_pass(model, batch).tobytes()
+        caller, threads, helped = threading.current_thread(), set(), threading.Event()
+
+        def spy(kind, z):
+            me = threading.current_thread()
+            threads.add(me)
+            if me is caller:
+                assert helped.wait(60), "no pool thread ran a chunk"
+            else:
+                helped.set()
+            return activate_batch(kind, z)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with modelspec._chunk_pool() as pool:
+            monkeypatch.setattr(modelspec, "activate_batch", spy)
+            assert pool is not None and forward(model, batch).tobytes() == want
+            assert threads - {caller} and threads - {caller} <= set(pool._threads)
+        assert all(t.name.startswith("actkit-chunks") for t in threads - {caller})
 
     def test_shape_error_names_its_chunk(self, model):
         with pytest.raises(actkit.ShapeError) as got:
@@ -666,6 +690,29 @@ class TestChunkedForward:
 class TestLossAndGradients:
     """End-to-end gradients cover every parameter and drive the loss down."""
 
+    @pytest.mark.parametrize(
+        "n_labels, bad, error, message",
+        [
+            (32, None, actkit.ShapeError, "labels shape (32,) != (40,)"),
+            (40, 0.5, actkit.DomainError, "labels must be integers, got 0.5 at index 20"),
+            (40, 10, actkit.DomainError, "labels must lie in [0, 10)"),
+        ],
+        ids=["length", "fractional", "range"],
+    )
+    def test_labels_checked_before_any_chunk_runs(self, monkeypatch, n_labels, bad, error, message):
+        """40 images run as two chunks; labels that do not fit them raise the one-pass error,
+        naming the label's index in the whole batch, before any forward pass."""
+        model = build_model(preset("mini-x3d"), Rng(8))
+        batch = gen_synthetic_images(40, seed=9).images
+        labels = np.arange(n_labels) % 10.0
+        if bad is not None:
+            labels[20] = bad
+        passes = []
+        monkeypatch.setattr(modelspec, "_forward_internal", lambda *args, **kw: passes.append(args))
+        with pytest.raises(error) as got:
+            loss_and_gradients(model, batch, labels)
+        assert str(got.value) == message and passes == []
+
     def test_gradient_keys_match_parameters(self):
         model = build_model(preset("mini-x3d"), Rng(8))
         rs = np.random.RandomState(89)
@@ -701,15 +748,16 @@ class TestLossAndGradients:
 
 _DIGEST_SCRIPT = """
 import hashlib
-from actkit import Rng, build_model, forward, gen_synthetic_images, loss_and_gradients, preset
-from actkit.experiments import _batch_loss_and_gradients
+from actkit import Rng, build_model, forward, gen_synthetic_images, loss_and_gradients, modelspec, preset
 model = build_model(preset("mini-x3d"), Rng(7))
 data = gen_synthetic_images(32, seed=5)
 digest = hashlib.sha256(forward(model, data.images).tobytes())
 digest.update(forward(model, gen_synthetic_images(96, seed=6).images).tobytes())  # three chunks
-steps = [loss_and_gradients(model, data.images, data.labels)]
-# two 16-image chunks on this thread, so OpenBLAS runs them at the environment's thread count
-steps.append(_batch_loss_and_gradients(model, data.images, data.labels, None))
+steps = [modelspec._loss_and_gradients_pass(model, data.images, data.labels)]
+# without thread controls the two 16-image chunks run on this thread, so OpenBLAS runs
+# them at the environment's thread count
+modelspec._openblas_threads = lambda: None
+steps.append(loss_and_gradients(model, data.images, data.labels))
 for loss, grads in steps:
     digest.update(repr(loss).encode())
     for name, g in grads.items():

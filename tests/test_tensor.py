@@ -456,6 +456,27 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(DomainError):
             softmax_cross_entropy(logits, np.array([-1, 0], dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0.9, 1.9], "got 0.9 at index 0"),
+            ([1.0, np.nan], "got nan at index 1"),
+            ([0, -np.inf], "got -inf at index 1"),
+        ],
+        ids=["fractional", "nan", "inf"],
+    )
+    def test_non_integer_label_rejected(self, labels, message):
+        """No truncation to int64, and no cast warning ahead of the error."""
+        with pytest.raises(DomainError) as err:
+            softmax_cross_entropy(np.zeros((2, 3), dtype=np.float32), np.array(labels))
+        assert str(err.value) == f"labels must be integers, {message}"
+
+    def test_integer_valued_float_labels_accepted(self):
+        logits = np.random.RandomState(59).uniform(-2, 2, (2, 3)).astype(np.float32)
+        got = softmax_cross_entropy(logits, np.array([0.0, 2.0]))
+        want = softmax_cross_entropy(logits, np.array([0, 2]))
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
 
 class TestSgdMomentum:
     """v <- m*v + g; p <- p - lr*v, applied per parameter name."""
