@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, FormatError, ShapeError
-from .tensor import Rng, check_integer_labels
+from .tensor import Rng, class_labels
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3*1024 channel-major pixel bytes
 CIFAR_CLASSES = 10
@@ -19,8 +19,8 @@ PHASE_ROW_SUM_TOL = 1e-3
 
 @dataclass(frozen=True)
 class ImageDataset:
-    """N >= 1 images as float32 (N,3,32,32) in [0,1] plus integer labels in [0,10); a DomainError
-    names the first label that is not one."""
+    """N >= 1 images as float32 (N,3,32,32) in [0,1] plus labels in [0,10), checked and stored
+    as int64 by class_labels."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -28,15 +28,10 @@ class ImageDataset:
     def __post_init__(self) -> None:
         if self.images.ndim != 4 or self.images.shape[1:] != (3, 32, 32):
             raise ShapeError(f"images must be (N,3,32,32), got {self.images.shape}")
-        if self.labels.shape != (self.images.shape[0],):
-            raise ShapeError("labels length must match image count")
+        labels = class_labels(self.labels, len(self), CIFAR_CLASSES, "image labels", "image")
+        object.__setattr__(self, "labels", labels)
         if not len(self):
             raise DomainError("an image dataset needs at least one image")
-        check_integer_labels(self.labels, "image labels", "image")
-        bad = (self.labels < 0) | (self.labels >= CIFAR_CLASSES)
-        if bad.any():
-            i = int(bad.argmax())
-            raise DomainError(f"image labels must lie in [0, {CIFAR_CLASSES}), got {self.labels[i]} at image {i}")
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -46,7 +41,8 @@ class ImageDataset:
 class PhaseSequence:
     """Per-frame class probabilities (T,C) with ground-truth labels (T,).
 
-    Rows are probability vectors: nonnegative, summing to 1 within 1e-5.
+    Rows are probability vectors: nonnegative, summing to 1 within 1e-5. The truth labels
+    are checked and stored as int64 by class_labels.
     """
 
     probs: np.ndarray
@@ -55,17 +51,13 @@ class PhaseSequence:
     def __post_init__(self) -> None:
         if self.probs.ndim != 2 or self.probs.shape[0] < 1 or self.probs.shape[1] < 2:
             raise ShapeError(f"probs must be (T>=1, C>=2), got {self.probs.shape}")
-        if self.truth.shape != (self.probs.shape[0],):
-            raise ShapeError("truth length must match frame count")
+        truth = class_labels(self.truth, self.num_frames, self.num_classes, "truth labels", "frame")
+        object.__setattr__(self, "truth", truth)
         if (self.probs < 0).any():
             raise DomainError("probabilities must be nonnegative")
         sums = self.probs.sum(axis=1)
         if not (np.abs(sums - 1.0).max() <= 1e-5):  # also rejects NaN
             raise DomainError("probability rows must sum to 1 within 1e-5")
-        check_integer_labels(self.truth, "truth labels", "frame")
-        c = self.probs.shape[1]
-        if self.truth.min() < 0 or self.truth.max() >= c:
-            raise DomainError(f"truth labels must lie in [0, {c})")
 
     @property
     def num_frames(self) -> int:

@@ -2,12 +2,11 @@
 mean aggregation, wall-time capture, and CSV/JSON report emission.
 
 Every run is deterministic given (config, platform): model init, batch order,
-and evaluation all draw from one SplitMix64 stream per seed. modelspec's
-loss_and_gradients runs a training batch of 32 or more images as 16-image chunks
-on every core, and forward 64 or more images as 32-image chunks; the cuts depend
-only on the batch size, so the core count never changes the results. A run holds
-one chunk pool for all its steps and its evaluation. BLAS may run its GEMMs on
-several threads; results are bit-identical with 1 and 2 BLAS threads.
+and evaluation all draw from one SplitMix64 stream per seed. A run holds one
+chunk pool for all its steps and its evaluation; how modelspec's forward and
+loss_and_gradients cut a batch into chunks never changes the results. BLAS may
+run its GEMMs on several threads; results are bit-identical with 1 and 2 BLAS
+threads.
 """
 
 from __future__ import annotations

@@ -79,13 +79,25 @@ def _as_real(x: np.ndarray, rank: int, what: str) -> np.ndarray:
 _SLICE_PATCH_BYTES = 2 << 20
 
 
-def _check_nonempty(x: np.ndarray, w: np.ndarray) -> None:
-    """Reject zero channels, zero height or width and zero output channels; a batch of
-    zero images is fine."""
+def _conv_operands(x: np.ndarray, weights: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The conv rules both directions share: x NCHW with channels, height and width >= 1 (a
+    batch of zero images is fine), weights (out_ch >= 1, in_ch, K, K) with K odd and in_ch
+    matching x, stride >= 1. Returns float32 x and weights and the output's Ho, Wo."""
+    x = _as_real(x, 4, "conv input")
+    w = _as_real(weights, 4, "conv weights")
+    _, c, h, wid = x.shape
+    o, i, k, k2 = w.shape
+    if k != k2 or k % 2 == 0:
+        raise ShapeError(f"kernel must be square with odd size, got {k}x{k2}")
+    if i != c:
+        raise ShapeError(f"weight input channels {i} != input channels {c}")
     if 0 in x.shape[1:]:
         raise ShapeError(f"conv input needs channels, height and width >= 1, got shape {x.shape}")
-    if w.shape[0] == 0:
+    if o == 0:
         raise ShapeError(f"conv weights need output channels >= 1, got shape {w.shape}")
+    if stride < 1:
+        raise DomainError(f"stride must be >= 1, got {stride}")
+    return x, w, -(-h // stride), -(-wid // stride)
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int) -> np.ndarray:
@@ -104,21 +116,12 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride:
     small-matrix kernels (another summation order) that BLAS may pick for tiny
     GEMMs; a lone last image could fall into them.
     """
-    x = _as_real(x, 4, "conv input")
-    w = _as_real(weights, 4, "conv weights")
+    x, w, ho, wo = _conv_operands(x, weights, stride)
     b = _as_real(bias, 1, "conv bias")
-    n, c, h, wid = x.shape
-    o, i, k, k2 = w.shape
-    if k != k2 or k % 2 == 0:
-        raise ShapeError(f"kernel must be square with odd size, got {k}x{k2}")
-    if i != c:
-        raise ShapeError(f"weight input channels {i} != input channels {c}")
-    _check_nonempty(x, w)
+    n, c = x.shape[:2]
+    o, _, k, _ = w.shape
     if b.shape[0] != o:
         raise ShapeError(f"bias length {b.shape[0]} != output channels {o}")
-    if stride < 1:
-        raise DomainError(f"stride must be >= 1, got {stride}")
-    ho, wo = -(-h // stride), -(-wid // stride)
     x_nhwc = x.transpose(0, 2, 3, 1)
     w_mat = w.transpose(0, 2, 3, 1).reshape(o, -1).T
     out = np.empty((n, ho, wo, o), dtype=REAL)
@@ -154,17 +157,13 @@ def conv2d_backward(
     upstream with that sub-kernel, rotated 180 degrees with its in/out channels
     swapped, written to grad_input[:, :, py::stride, px::stride]. A phase with no
     taps (K < stride) gets zeros. With input_grad=False grad_input is None and
-    not computed.
+    not computed. It rejects exactly the x, weights and stride that conv2d_forward rejects,
+    with the same errors, and an upstream not shaped like that forward's output.
     """
-    x = _as_real(x, 4, "conv input")
-    w = _as_real(weights, 4, "conv weights")
+    x, w, ho, wo = _conv_operands(x, weights, stride)
     up = _as_real(upstream, 4, "conv upstream")
     n, c, h, wid = x.shape
-    o, i, k, _ = w.shape
-    if i != c:
-        raise ShapeError(f"weight input channels {i} != input channels {c}")
-    _check_nonempty(x, w)
-    ho, wo = -(-h // stride), -(-wid // stride)
+    o, _, k, _ = w.shape
     if up.shape != (n, o, ho, wo):
         raise ShapeError(f"upstream shape {up.shape} != forward output shape {(n, o, ho, wo)}")
 
@@ -201,13 +200,19 @@ def conv2d_backward(
     return np.ascontiguousarray(grad_x.transpose(0, 3, 1, 2)), grad_w, grad_b
 
 
-def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map: (N,F) @ (F,G) + (G,)."""
+def _dense_operands(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float32 x (N,F) and weights (F,G), the rules both dense directions share."""
     x = _as_real(x, 2, "dense input")
     w = _as_real(weights, 2, "dense weights")
-    b = _as_real(bias, 1, "dense bias")
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"input features {x.shape[1]} != weight rows {w.shape[0]}")
+    return x, w
+
+
+def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Affine map: (N,F) @ (F,G) + (G,)."""
+    x, w = _dense_operands(x, weights)
+    b = _as_real(bias, 1, "dense bias")
     if b.shape[0] != w.shape[1]:
         raise ShapeError(f"bias length {b.shape[0]} != weight cols {w.shape[1]}")
     return np.ascontiguousarray(x @ w + b)
@@ -216,9 +221,10 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
 def dense_backward(
     x: np.ndarray, weights: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradients of dense_forward: (grad_input, grad_weights, grad_bias)."""
-    x = _as_real(x, 2, "dense input")
-    w = _as_real(weights, 2, "dense weights")
+    """Exact gradients of dense_forward: (grad_input, grad_weights, grad_bias). It rejects
+    exactly the x and weights that dense_forward rejects, with the same errors, and an
+    upstream not shaped like that forward's output."""
+    x, w = _dense_operands(x, weights)
     up = _as_real(upstream, 2, "dense upstream")
     if up.shape != (x.shape[0], w.shape[1]):
         raise ShapeError(f"upstream shape {up.shape} != output shape {(x.shape[0], w.shape[1])}")
@@ -256,15 +262,17 @@ def check_integer_labels(labels: np.ndarray, what: str, unit: str) -> None:
         raise DomainError(f"{what} must be integers, got {labels[i]} at {unit} {i}")
 
 
-def class_labels(labels: np.ndarray, n: int, c: int) -> np.ndarray:
+def class_labels(labels: np.ndarray, n: int, c: int, what: str = "labels", unit: str = "index") -> np.ndarray:
     """labels as int64 class indices for n rows of c classes: a ShapeError unless the shape
-    is (n,), a DomainError for a fractional, NaN or infinite label or one outside [0, c)."""
+    is (n,), a DomainError naming the first label that is fractional, NaN or infinite or
+    outside [0, c), e.g. "truth labels must lie in [0, 2), got 5 at frame 1"."""
     y = np.asarray(labels)
     if y.shape != (n,):
-        raise ShapeError(f"labels shape {y.shape} != ({n},)")
-    check_integer_labels(y, "labels", "index")
+        raise ShapeError(f"{what} shape {y.shape} != ({n},)")
+    check_integer_labels(y, what, unit)
     if y.size and (y.min() < 0 or y.max() >= c):
-        raise DomainError(f"labels must lie in [0, {c})")
+        i = int(((y < 0) | (y >= c)).argmax())
+        raise DomainError(f"{what} must lie in [0, {c}), got {y[i]} at {unit} {i}")
     return y.astype(np.int64, copy=False)
 
 

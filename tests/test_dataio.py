@@ -2,6 +2,7 @@
 fixture, stratified subsetting, the synthetic generators, and phase CSVs."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from actkit import (
     ImageDataset,
     PhaseSequence,
     Rng,
+    ShapeError,
     gen_synthetic_images,
     gen_synthetic_phases,
     load_cifar10_binary,
@@ -427,7 +429,7 @@ class TestDatasetTypes:
             ImageDataset(np.zeros((2, 3, 16, 16), dtype=np.float32), np.zeros(2, dtype=np.int64))
 
     def test_label_length_enforced(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ShapeError, match=re.escape("image labels shape (3,) != (2,)")):
             ImageDataset(np.zeros((2, 3, 32, 32), dtype=np.float32), np.zeros(3, dtype=np.int64))
 
     def test_empty_image_set_rejected(self):
@@ -450,7 +452,8 @@ class TestDatasetTypes:
         assert str(err.value) == message
 
     def test_integer_valued_float_labels_accepted(self):
-        assert len(ImageDataset(np.zeros((2, 3, 32, 32), dtype=np.float32), np.array([0.0, 9.0]))) == 2
+        ds = ImageDataset(np.zeros((2, 3, 32, 32), dtype=np.float32), np.array([0.0, 9.0]))
+        assert len(ds) == 2 and ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 9]
 
     def test_phase_rows_must_be_stochastic(self):
         probs = np.full((4, 5), 0.3)
@@ -465,14 +468,18 @@ class TestDatasetTypes:
 
     @pytest.mark.parametrize(
         "truth, message",
-        [([0.7, 1.4], "got 0.7 at frame 0"), ([1.0, np.nan], "got nan at frame 1")],
-        ids=["fractional", "nan"],
+        [
+            ([0.7, 1.4], "must be integers, got 0.7 at frame 0"),
+            ([1.0, np.nan], "must be integers, got nan at frame 1"),
+            ([0, 5], "must lie in [0, 2), got 5 at frame 1"),
+        ],
+        ids=["fractional", "nan", "range"],
     )
     def test_phase_truth_must_be_integer_valued(self, truth, message):
         with pytest.raises(DomainError) as err:
             PhaseSequence(np.full((2, 2), 0.5), np.array(truth))
-        assert str(err.value) == f"truth labels must be integers, {message}"
+        assert str(err.value) == f"truth labels {message}"
 
     def test_phase_truth_integer_valued_floats_accepted(self):
         seq = PhaseSequence(np.full((2, 2), 0.5), np.array([0.0, 1.0]))
-        assert seq.num_frames == 2
+        assert seq.num_frames == 2 and seq.truth.dtype == np.int64 and seq.truth.tolist() == [0, 1]

@@ -695,7 +695,7 @@ class TestLossAndGradients:
         [
             (32, None, actkit.ShapeError, "labels shape (32,) != (40,)"),
             (40, 0.5, actkit.DomainError, "labels must be integers, got 0.5 at index 20"),
-            (40, 10, actkit.DomainError, "labels must lie in [0, 10)"),
+            (40, 10, actkit.DomainError, "labels must lie in [0, 10), got 10.0 at index 20"),
         ],
         ids=["length", "fractional", "range"],
     )

@@ -229,16 +229,25 @@ class TestConv2d:
         assert np.all(gx[read] != 0.0)
 
     def test_shape_validation(self):
+        """The backward rejects every operand the forward rejects, with the forward's error,
+        given an upstream shaped as the stride-1 output."""
         x = np.zeros((1, 3, 4, 4), dtype=np.float32)
-        b2 = np.zeros(2, dtype=np.float32)
-        with pytest.raises(ShapeError):  # even kernel
-            conv2d_forward(x, np.zeros((2, 3, 2, 2), dtype=np.float32), b2, stride=1)
-        with pytest.raises(ShapeError):  # channel mismatch
-            conv2d_forward(x, np.zeros((2, 4, 3, 3), dtype=np.float32), b2, stride=1)
+        b2, up = np.zeros(2, dtype=np.float32), np.zeros((1, 2, 4, 4), dtype=np.float32)
         with pytest.raises(ShapeError):  # bias length
             conv2d_forward(x, np.zeros((2, 3, 3, 3), dtype=np.float32), np.zeros(3, dtype=np.float32), stride=1)
-        with pytest.raises(DomainError):  # stride
-            conv2d_forward(x, np.zeros((2, 3, 3, 3), dtype=np.float32), b2, stride=0)
+        cases = [
+            ((2, 3, 2, 2), 1, ShapeError, "kernel must be square with odd size, got 2x2"),
+            ((2, 3, 3, 1), 1, ShapeError, "kernel must be square with odd size, got 3x1"),
+            ((2, 4, 3, 3), 1, ShapeError, "weight input channels 4 != input channels 3"),
+            ((2, 3, 3, 3), 0, DomainError, "stride must be >= 1, got 0"),
+            ((2, 3, 3, 3), -1, DomainError, "stride must be >= 1, got -1"),
+        ]
+        for w_shape, stride, error, message in cases:
+            w = np.zeros(w_shape, dtype=np.float32)
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                conv2d_forward(x, w, b2, stride=stride)
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                conv2d_backward(x, w, up, stride=stride)
 
     @pytest.mark.parametrize(
         "x_shape, w_shape",
@@ -379,12 +388,14 @@ class TestDense:
         assert rel_err(fd_grad(loss, b, 0.05), gb) < 1e-3
 
     def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            dense_forward(
-                np.zeros((2, 3), dtype=np.float32),
-                np.zeros((4, 5), dtype=np.float32),
-                np.zeros(5, dtype=np.float32),
-            )
+        """The backward rejects the forward's feature mismatch with the forward's error, given
+        an upstream shaped (N, G)."""
+        x, w = np.zeros((2, 3), dtype=np.float32), np.zeros((4, 5), dtype=np.float32)
+        message = "^input features 3 != weight rows 4$"
+        with pytest.raises(ShapeError, match=message):
+            dense_forward(x, w, np.zeros(5, dtype=np.float32))
+        with pytest.raises(ShapeError, match=message):
+            dense_backward(x, w, np.zeros((2, 5), dtype=np.float32))
 
 
 class TestGlobalAvgPool:
@@ -451,9 +462,9 @@ class TestSoftmaxCrossEntropy:
 
     def test_label_out_of_range_rejected(self):
         logits = np.zeros((2, 3), dtype=np.float32)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape("labels must lie in [0, 3), got 3 at index 1")):
             softmax_cross_entropy(logits, np.array([0, 3], dtype=np.int64))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape("labels must lie in [0, 3), got -1 at index 0")):
             softmax_cross_entropy(logits, np.array([-1, 0], dtype=np.int64))
 
     @pytest.mark.parametrize(
