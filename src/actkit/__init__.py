@@ -48,12 +48,9 @@ from .kernels import (
     max_approx_error,
 )
 from .modelspec import (
-    ALL,
     BAND_A,
     BAND_B,
     FULL_SCALE_BLOCKS,
-    INITIAL,
-    LAST,
     MIDDLE,
     ActivationSite,
     BlockSpec,

@@ -18,6 +18,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -29,8 +30,7 @@ from .modelspec import (
     Model,
     ModelSpec,
     _chunk_pool,
-    _is_finite,
-    _is_int,
+    _Record,
     build_model,
     fingerprint,
     forward,
@@ -48,55 +48,40 @@ CIFAR_TEST_FILES = ["test_batch.bin"]
 
 
 @dataclass(frozen=True)
-class Hyperparams:
+class Hyperparams(_Record):
     lr: float = 0.01
     momentum: float = 0.9
-    batch_size: int = 32
-    epochs: int = 5
-
-    def __post_init__(self) -> None:
-        for name in ("lr", "momentum"):
-            value = getattr(self, name)
-            if not _is_finite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    batch_size: Annotated[int, 1] = 32
+    epochs: Annotated[int, 1] = 5
 
 
 @dataclass(frozen=True)
-class DataConfig:
+class DataConfig(_Record):
     """Where training data comes from: generated images or CIFAR-10 binary batches."""
 
     source: str  # "synthetic-images" | "cifar10-binary"
-    train_size: int
-    test_size: int
+    train_size: Annotated[int, 1]
+    test_size: Annotated[int, 1]
     data_dir: str | None = None
     subset_seed: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.source not in ("synthetic-images", "cifar10-binary"):
             raise ConfigError(f"unknown dataset source {self.source!r}")
         if self.source == "cifar10-binary" and not self.data_dir:
             raise ConfigError("cifar10-binary source needs data_dir")
-        for name in ("train_size", "test_size"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not _is_int(self.subset_seed):
-            raise ConfigError(f"subset_seed must be an integer, got {self.subset_seed!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
-class SurgeryStep:
+class SurgeryStep(_Record):
     selector: GroupSelector
     from_kind: ActivationKind | None = field(default=None, metadata={"json": "from"})  # None matches any kind
     to_kind: ActivationKind = field(metadata={"json": "to"})
 
 
 @dataclass(frozen=True, kw_only=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     preset: str
     label: str = "experiment"
     surgery: tuple[SurgeryStep, ...] = ()
@@ -105,12 +90,13 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1, 2)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seeds, tuple) or not self.seeds or not all(_is_int(s) for s in self.seeds):
-            raise ConfigError(f"seeds must be a nonempty tuple of integers, got {self.seeds!r}")
+        super().__post_init__()
+        if not self.seeds:
+            raise ConfigError("seeds must not be empty")
 
 
 @dataclass(frozen=True)
-class SeedRun:
+class SeedRun(_Record):
     seed: int
     test_accuracy: float
     train_seconds: float
@@ -118,7 +104,7 @@ class SeedRun:
 
 
 @dataclass(frozen=True, kw_only=True)
-class ExperimentReport:
+class ExperimentReport(_Record):
     """One config's result; the field order is the JSON key order."""
 
     label: str

@@ -18,7 +18,7 @@ import numbers
 import os
 import threading
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -49,8 +49,23 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite(value: object) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+_hints = functools.cache(functools.partial(get_type_hints, include_extras=True))  # a record class's annotations
+
+
+class _Record:
+    """Base of the frozen records: specs, configs and reports. On construction each field is
+    read by its annotation as record_from_json reads JSON (_decode), and holds the result; a
+    value that it cannot hold raises ConfigError "malformed '<JSON key>' in <Record>: ...".
+    A record's own rules come after this."""
+
+    def __post_init__(self) -> None:
+        hints = _hints(type(self))
+        for f in fields(self):
+            try:
+                object.__setattr__(self, f.name, _decode(hints[f.name], getattr(self, f.name)))
+            except TypeError as exc:
+                key = f.metadata.get("json", f.name)
+                raise ConfigError(f"malformed {key!r} in {type(self).__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -65,22 +80,22 @@ class ActivationSite:
 
 
 @dataclass(frozen=True)
-class BlockSpec:
-    channels: int
-    stride: int
+class BlockSpec(_Record):
+    channels: Annotated[int, 1]
+    stride: Annotated[int, 1]
     act_a: ActivationKind
     act_b: ActivationKind
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_Record):
     preset_name: str = field(metadata={"json": "preset"})
     stem_act: ActivationKind
     stages: tuple[tuple[BlockSpec, ...], ...]
-    num_classes: int = 10
+    num_classes: Annotated[int, 2] = 10
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stages", tuple(tuple(stage) for stage in self.stages))
+        super().__post_init__()
         if len(self.stages) != 4:
             raise ConfigError(f"a model spec has exactly 4 stages, got {len(self.stages)}")
         prev = 0
@@ -88,13 +103,9 @@ class ModelSpec:
             if not stage:
                 raise ConfigError(f"stage {k} has no blocks")
             for blk in stage:
-                if not (_is_int(blk.channels) and _is_int(blk.stride)) or blk.channels < 1 or blk.stride < 1:
-                    raise ConfigError(f"stage {k} block has bad channels/stride: {blk}")
                 if blk.channels < prev:
                     raise ConfigError("channel counts must be non-decreasing across blocks")
                 prev = blk.channels
-        if not _is_int(self.num_classes) or self.num_classes < 2:
-            raise ConfigError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
 
     @property
     def stem_channels(self) -> int:
@@ -113,7 +124,7 @@ _GROUPS = {
 
 
 @dataclass(frozen=True)
-class GroupSelector:
+class GroupSelector(_Record):
     """Addresses a set of activation sites by its text: a named group (initial, middle, last,
     all, band:a, band:b) or one site, "site:<id>". The constructor accepts any case and spaces
     around the text or after the colon, and stores the canonical text; a site id keeps its case."""
@@ -121,6 +132,7 @@ class GroupSelector:
     text: str
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         head, colon, rest = self.text.strip().partition(":")
         head, rest = head.lower(), rest.strip()
         if head == "site" and rest:
@@ -150,14 +162,6 @@ class GroupSelector:
         return matched
 
 
-# Aliases of GroupSelector(text), kept (with from_string) only because perfbench's
-# workloads call them; they go when the benchmark next changes.
-INITIAL = GroupSelector("initial")
-MIDDLE = GroupSelector("middle")
-LAST = GroupSelector("last")
-ALL = GroupSelector("all")
-
-
 def preset(name: str, blocks_per_stage: tuple[int, int, int, int] = (1, 1, 1, 1)) -> ModelSpec:
     """Build a named desk-scale preset.
 
@@ -176,11 +180,11 @@ def preset(name: str, blocks_per_stage: tuple[int, int, int, int] = (1, 1, 1, 1)
         raise ConfigError(f"blocks_per_stage must be 4 positive integers, got {blocks_per_stage}")
     channels = (8, 16, 32, 32)
     strides = (1, 2, 2, 2)
-    stages = []
-    for ch, st, nblocks in zip(channels, strides, blocks_per_stage):
-        stage = [BlockSpec(ch, st if j == 0 else 1, act_a, act_b) for j in range(nblocks)]
-        stages.append(tuple(stage))
-    return ModelSpec(preset_name=name, stem_act=ActivationKind.RELU, stages=tuple(stages))
+    stages = [
+        [BlockSpec(ch, st if j == 0 else 1, act_a, act_b) for j in range(nblocks)]
+        for ch, st, nblocks in zip(channels, strides, blocks_per_stage)
+    ]
+    return ModelSpec(preset_name=name, stem_act=ActivationKind.RELU, stages=stages)
 
 
 def _blocks(spec: ModelSpec):
@@ -239,49 +243,55 @@ def record_to_json(value):
 
 
 def record_from_json(cls, doc: object):
-    """Inverse of record_to_json for dataclass `cls`, read by its field annotations. A missing,
-    unknown or wrongly typed key raises ConfigError naming the key."""
+    """Inverse of record_to_json for record class `cls`. It checks the keys: an unknown or
+    missing required key raises ConfigError naming the key. The constructor checks the fields."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
     keys = {f.metadata.get("json", f.name): f for f in fields(cls)}
     for key in doc:
         if key not in keys:
             raise ConfigError(f"unknown key {key!r} in {cls.__name__}")
-    hints = get_type_hints(cls)
-    kwargs = {}
     for key, f in keys.items():
-        if key in doc:
-            try:
-                kwargs[f.name] = _decode(hints[f.name], doc[key])
-            except TypeError as exc:
-                raise ConfigError(f"malformed {key!r} in {cls.__name__}: {exc}") from None
-        elif f.default is MISSING and f.default_factory is MISSING:
+        if key not in doc and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing key {key!r} in {cls.__name__}")
-    return cls(**kwargs)
+    return cls(**{f.name: doc[key] for key, f in keys.items() if key in doc})
 
 
 def _decode(tp, value):
-    """`value` read as annotation `tp`; a JSON type that cannot hold a `tp` raises TypeError.
-    An int takes only an integer and a float any finite number; neither takes a bool."""
+    """`value` read as annotation `tp`; a value that cannot be a `tp` raises TypeError. An int takes
+    an integer (>= n for Annotated[int, n]), a float any finite number, neither a bool; a tuple a list,
+    a kind or selector its text, a record a dict (record_from_json); each also takes itself."""
     args = get_args(tp)
+    if get_origin(tp) is Annotated:  # Annotated[int, n]
+        value = _decode(args[0], value)
+        if value < args[1]:
+            raise TypeError(f"expected an integer >= {args[1]}, got {value!r}")
+        return value
     if type(None) in args:  # X | None
         return None if value is None else _decode(args[0], value)
     if get_origin(tp) is tuple:  # tuple[X, ...]
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             each = f" (each {args[0].__name__} must be a JSON object)" if is_dataclass(args[0]) else ""
             raise TypeError(f"expected a list, got {value!r}{each}")
         return tuple(_decode(args[0], item) for item in value)
-    if tp in _FROM_TEXT:
+    if tp in _FROM_TEXT and not isinstance(value, tp):
         if not isinstance(value, str):
             raise TypeError(f"expected a string, got {value!r}")
         return _FROM_TEXT[tp](value)
-    if is_dataclass(tp):
+    if is_dataclass(tp) and not isinstance(value, tp):
         return record_from_json(tp, value)
     if tp is int and not _is_int(value):
         raise TypeError(f"expected an integer, got {value!r}")
-    if tp is float and not _is_finite(value):
+    if tp is float and not (
+        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    ):
         raise TypeError(f"expected a finite number, got {value!r}")
     return value
+
+
+# MIDDLE and GroupSelector.from_string stay only because perfbench's workloads call them; they
+# go when the benchmark next changes. Like any record, MIDDLE can be built only below _decode.
+MIDDLE = GroupSelector("middle")
 
 
 def fingerprint(spec: ModelSpec) -> str:

@@ -64,7 +64,8 @@ def argmax_decode(probs: np.ndarray) -> np.ndarray:
 
 def frame_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of frames whose predicted label equals ground truth. Float labels must
-    be integer-valued: a fractional, NaN or infinite one raises DomainError."""
+    be integer-valued: a fractional, NaN or infinite one, or a dtype that is neither
+    integer nor float (such as bool), raises DomainError."""
     a, b = np.asarray(pred), np.asarray(truth)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ShapeError(f"need equal-length nonempty label vectors, got {a.shape} vs {b.shape}")

@@ -253,9 +253,12 @@ def global_avg_pool_backward(upstream: np.ndarray, height: int, width: int) -> n
 
 def check_integer_labels(labels: np.ndarray, what: str, unit: str) -> None:
     """Raise DomainError naming the first label that is fractional, NaN or infinite, e.g.
-    "truth labels must be integers, got 0.5 at frame 3". An integer dtype passes without a scan."""
-    if labels.dtype.kind in "biu":
+    "truth labels must be integers, got 0.5 at frame 3", or a dtype neither integer nor float
+    ("labels must be integers, got dtype bool"). An integer dtype passes without a scan."""
+    if labels.dtype.kind in "iu":
         return
+    if labels.dtype.kind != "f":
+        raise DomainError(f"{what} must be integers, got dtype {labels.dtype}")
     whole = np.isfinite(labels) & (labels == np.trunc(labels))
     if not whole.all():
         i = int(np.argmin(whole))

@@ -18,14 +18,12 @@ import numpy as np
 import pytest
 
 from actkit import (
-    ALL,
-    INITIAL,
-    LAST,
     MIDDLE,
     ActivationKind,
     DataConfig,
     ExperimentConfig,
     FormatError,
+    GroupSelector,
     Hyperparams,
     Rng,
     activate_batch,
@@ -253,7 +251,7 @@ def test_criterion_5_protocol_fidelity():
             hyperparams=Hyperparams(epochs=1),
             seeds=(1, 2),
         )
-        placements = [INITIAL, MIDDLE, LAST, ALL]
+        placements = [GroupSelector("initial"), MIDDLE, GroupSelector("last"), GroupSelector("all")]
         first = run_grid(cfg, placements, HS)
         second = run_grid(cfg, placements, HS)
 

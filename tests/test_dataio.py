@@ -443,8 +443,9 @@ class TestDatasetTypes:
             ([0, np.nan, 1], "image labels must be integers, got nan at image 1"),
             ([0, 1, 12], "image labels must lie in [0, 10), got 12 at image 2"),
             ([0, -1, 1], "image labels must lie in [0, 10), got -1 at image 1"),
+            (["0", "1", "2"], "image labels must be integers, got dtype <U1"),
         ],
-        ids=["fractional", "nan", "above", "negative"],
+        ids=["fractional", "nan", "above", "negative", "string"],
     )
     def test_labels_must_be_classes(self, labels, message):
         with pytest.raises(DomainError) as err:

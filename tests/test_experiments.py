@@ -10,9 +10,6 @@ import numpy as np
 import pytest
 
 from actkit import (
-    ALL,
-    INITIAL,
-    LAST,
     MIDDLE,
     ActivationKind,
     ConfigError,
@@ -99,8 +96,12 @@ class TestConfigValidation:
         ],
     )
     def test_hyperparam_types_checked(self, field, value):
-        with pytest.raises(ConfigError):
+        """The constructor and the JSON reader reject the value with the same message."""
+        with pytest.raises(ConfigError, match=f"^malformed '{field}' in Hyperparams: ") as built:
             Hyperparams(**{field: value})
+        with pytest.raises(ConfigError) as read:
+            record_from_json(Hyperparams, {field: value})
+        assert str(built.value) == str(read.value)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):
@@ -122,9 +123,49 @@ class TestConfigValidation:
         ],
     )
     def test_data_config_integers_checked(self, field, value):
-        sizes = {"train_size": 4, "test_size": 3, field: value}
-        with pytest.raises(ConfigError, match=field):
-            DataConfig(source="synthetic-images", **sizes)
+        doc = {"source": "synthetic-images", "train_size": 4, "test_size": 3, field: value}
+        with pytest.raises(ConfigError, match=field) as built:
+            DataConfig(**doc)
+        with pytest.raises(ConfigError) as read:
+            record_from_json(DataConfig, doc)
+        assert str(built.value) == str(read.value)
+
+    @pytest.mark.parametrize(
+        "cls, doc, message",
+        [
+            (
+                DataConfig,
+                {"source": "cifar10-binary", "train_size": 10, "test_size": 10, "data_dir": 5},
+                "malformed 'data_dir' in DataConfig: expected a string, got 5",
+            ),
+            (
+                SeedRun,
+                {"seed": 1.5, "test_accuracy": 0.5, "train_seconds": 1.0, "init_param_hash": "ab"},
+                "malformed 'seed' in SeedRun: expected an integer, got 1.5",
+            ),
+            (
+                ExperimentReport,
+                {**record_to_json(hand_built_report()), "mean_accuracy": [1]},
+                "malformed 'mean_accuracy' in ExperimentReport: expected a finite number, got [1]",
+            ),
+            (GroupSelector, {"text": 5}, "malformed 'text' in GroupSelector: expected a string, got 5"),
+        ],
+        ids=["data-dir-int", "seed-float", "mean-list", "selector-int"],
+    )
+    def test_constructor_checks_fields_as_the_reader_does(self, cls, doc, message):
+        with pytest.raises(ConfigError) as built:
+            cls(**doc)
+        with pytest.raises(ConfigError) as read:
+            record_from_json(cls, doc)
+        assert str(built.value) == str(read.value) == message
+
+    def test_constructor_takes_json_forms(self):
+        """A field also takes its JSON form: a selector's or a kind's text, a list, a dict."""
+        step = SurgeryStep(selector=" All", to_kind="hardswish")
+        assert step == SurgeryStep(selector=GroupSelector("all"), to_kind=HS)
+        dataset = {"source": "synthetic-images", "train_size": 4, "test_size": 3}
+        cfg = ExperimentConfig(preset="mini-resnet", dataset=dataset, surgery=[step], seeds=[3])
+        assert cfg.dataset == DataConfig(**dataset) and cfg.surgery == (step,) and cfg.seeds == (3,)
 
 
 class TestRunExperiment:
@@ -152,7 +193,7 @@ class TestRunExperiment:
 
     def test_surgery_reflected_in_fingerprint(self):
         plain = run_experiment(tiny_config())
-        step = SurgeryStep(selector=INITIAL, from_kind=None, to_kind=HS)
+        step = SurgeryStep(selector=GroupSelector("initial"), from_kind=None, to_kind=HS)
         surgered = run_experiment(tiny_config(surgery=(step,)))
         assert plain.spec_fingerprint != surgered.spec_fingerprint
 
@@ -306,7 +347,7 @@ class TestApplySurgeryAndHash:
         spec = preset("mini-x3d")
         steps = (
             SurgeryStep(selector=MIDDLE, from_kind=ActivationKind.RELU, to_kind=HS),
-            SurgeryStep(selector=LAST, to_kind=HS),
+            SurgeryStep(selector=GroupSelector("last"), to_kind=HS),
         )
         out = apply_surgery(spec, steps)
         kinds = {b.act_a for b in (out.stages[1][0], out.stages[2][0])}
@@ -363,7 +404,7 @@ class TestEvaluate:
 class TestGrid:
     def test_five_reports_shared_protocol(self):
         cfg = tiny_config(seeds=(1, 2))
-        reports = run_grid(cfg, [INITIAL, MIDDLE, LAST], HS)
+        reports = run_grid(cfg, [GroupSelector("initial"), MIDDLE, GroupSelector("last")], HS)
         assert len(reports) == 4  # baseline + 3 placements
         assert reports[0].label == "baseline"
         fingerprints = {r.spec_fingerprint for r in reports}
@@ -374,14 +415,14 @@ class TestGrid:
 
     def test_init_hashes_identical_across_cells(self):
         """Surgery never perturbs initialization: same seed, same weights."""
-        reports = run_grid(tiny_config(seeds=(3,)), [INITIAL, LAST], HS)
+        reports = run_grid(tiny_config(seeds=(3,)), [GroupSelector("initial"), GroupSelector("last")], HS)
         hashes = {rep.runs[0].init_param_hash for rep in reports}
         assert len(hashes) == 1
 
     def test_grid_reruns_bit_identical(self):
         cfg = tiny_config(seeds=(4,))
-        a = run_grid(cfg, [INITIAL], HS)
-        b = run_grid(cfg, [INITIAL], HS)
+        a = run_grid(cfg, [GroupSelector("initial")], HS)
+        b = run_grid(cfg, [GroupSelector("initial")], HS)
         assert [r.mean_accuracy for r in a] == [r.mean_accuracy for r in b]
 
     @pytest.mark.parametrize(
@@ -400,7 +441,7 @@ class TestGrid:
 
         monkeypatch.setattr(experiments, "load_datasets", no_data)
         with pytest.raises(ConfigError) as info:
-            run_grid(tiny_config(preset=preset_name), [ALL, GroupSelector("site:stage9.block1.act_a")], HS)
+            run_grid(tiny_config(preset=preset_name), [GroupSelector("all"), GroupSelector("site:stage9.block1.act_a")], HS)
         assert str(info.value) == message
 
     def test_config_surgery_rejected_before_data_is_loaded(self, monkeypatch):
@@ -411,9 +452,9 @@ class TestGrid:
             raise AssertionError("load_datasets was called")
 
         monkeypatch.setattr(experiments, "load_datasets", no_data)
-        cfg = tiny_config(preset="mini-x3d", surgery=(SurgeryStep(selector=ALL, to_kind=ActivationKind.SWISH),))
+        cfg = tiny_config(preset="mini-x3d", surgery=(SurgeryStep(selector=GroupSelector("all"), to_kind=ActivationKind.SWISH),))
         with pytest.raises(ConfigError) as info:
-            run_grid(cfg, [INITIAL], HS)
+            run_grid(cfg, [GroupSelector("initial")], HS)
         assert str(info.value) == (
             "a grid config must have an empty 'surgery' list, got 1 step(s): "
             "the grid's cells are the plain preset and one per placement"
@@ -473,7 +514,7 @@ class TestSerialization:
         spec, _ = replace_activations(preset("mini-x3d"), MIDDLE, None, HS)
         steps = (
             SurgeryStep(selector=GroupSelector("site:stage1.block1.act_b"), from_kind=None, to_kind=HS),
-            SurgeryStep(selector=LAST, from_kind=ActivationKind.RELU, to_kind=HS),
+            SurgeryStep(selector=GroupSelector("last"), from_kind=ActivationKind.RELU, to_kind=HS),
         )
         for value in [spec, tiny_config(surgery=steps), hand_built_report()]:
             assert record_from_json(type(value), json.loads(json.dumps(record_to_json(value)))) == value

@@ -20,11 +20,8 @@ import actkit
 from actkit import modelspec
 
 from actkit import (
-    ALL,
     BAND_A,
     BAND_B,
-    INITIAL,
-    LAST,
     MIDDLE,
     ActivationKind,
     ConfigError,
@@ -124,17 +121,17 @@ class TestSelectors:
     """String forms, matching scope, and the partition property."""
 
     def test_string_round_trip(self):
-        for sel in (INITIAL, MIDDLE, LAST, ALL, GroupSelector("band:a"), GroupSelector("site:stem.act")):
+        for sel in (GroupSelector("initial"), MIDDLE, GroupSelector("last"), GroupSelector("all"), GroupSelector("band:a"), GroupSelector("site:stem.act")):
             assert GroupSelector(sel.text) == sel
 
     @pytest.mark.parametrize(
         "text, canonical, selector",
         [
-            ("initial", "initial", INITIAL),
-            ("Initial", "initial", INITIAL),
+            ("initial", "initial", GroupSelector("initial")),
+            ("Initial", "initial", GroupSelector("initial")),
             ("  MIDDLE\t", "middle", MIDDLE),
-            ("last ", "last", LAST),
-            ("ALL", "all", ALL),
+            ("last ", "last", GroupSelector("last")),
+            ("ALL", "all", GroupSelector("all")),
             ("band:a", "band:a", GroupSelector("band:a")),
             ("band: a", "band:a", GroupSelector("band:a")),
             (" Band:A ", "band:a", GroupSelector("band:a")),
@@ -164,13 +161,13 @@ class TestSelectors:
     def test_partition_of_sites(self):
         """Initial/Middle/Last are pairwise disjoint; adding stage-1 sites gives All."""
         spec = preset("mini-resnet", blocks_per_stage=(2, 2, 2, 2))
-        initial = self._changed_ids(spec, INITIAL)
+        initial = self._changed_ids(spec, GroupSelector("initial"))
         middle = self._changed_ids(spec, MIDDLE)
-        last = self._changed_ids(spec, LAST)
+        last = self._changed_ids(spec, GroupSelector("last"))
         assert initial == {"stem.act"}
         assert initial.isdisjoint(middle) and initial.isdisjoint(last) and middle.isdisjoint(last)
         stage1 = {s.site_id for s in list_sites(spec) if s.site_id.startswith("stage1.")}
-        assert initial | middle | last | stage1 == self._changed_ids(spec, ALL)
+        assert initial | middle | last | stage1 == self._changed_ids(spec, GroupSelector("all"))
 
     def test_middle_spans_stages_two_and_three(self):
         spec = preset("mini-resnet")
@@ -198,7 +195,7 @@ class TestSurgery:
     """replace_activations: counts, locality, idempotence, filtering."""
 
     def test_initial_changes_one_site(self):
-        new, count = replace_activations(preset("mini-resnet"), INITIAL, RELU, HS)
+        new, count = replace_activations(preset("mini-resnet"), GroupSelector("initial"), RELU, HS)
         assert count == 1
         assert list_sites(new)[0].kind is HS
 
@@ -215,18 +212,18 @@ class TestSurgery:
 
     def test_identity_surgery_counts_matches(self):
         spec = preset("mini-x3d")
-        new, count = replace_activations(spec, ALL, SWISH, SWISH)
+        new, count = replace_activations(spec, GroupSelector("all"), SWISH, SWISH)
         assert new == spec
         assert count == 4  # the four act_b swish sites
 
     def test_from_kind_none_matches_any(self):
-        _, count = replace_activations(preset("mini-x3d"), ALL, None, HS)
+        _, count = replace_activations(preset("mini-x3d"), GroupSelector("all"), None, HS)
         assert count == 9
 
     def test_locality(self):
         """Only matched sites change; channels, strides, and other kinds survive."""
         spec = preset("mini-x3d")
-        new, _ = replace_activations(spec, LAST, None, HS)
+        new, _ = replace_activations(spec, GroupSelector("last"), None, HS)
         assert new.preset_name == spec.preset_name
         assert new.stem_act is spec.stem_act
         for k, (old_stage, new_stage) in enumerate(zip(spec.stages, new.stages)):
@@ -242,7 +239,7 @@ class TestSurgery:
     def test_original_spec_unchanged(self):
         spec = preset("mini-resnet")
         before = record_to_json(spec)
-        replace_activations(spec, ALL, None, HS)
+        replace_activations(spec, GroupSelector("all"), None, HS)
         assert record_to_json(spec) == before
 
     def test_idempotence(self):
@@ -291,7 +288,7 @@ class TestSerialization:
     def test_fingerprint_stable_and_sensitive(self):
         a = fingerprint(preset("mini-resnet"))
         assert a == fingerprint(preset("mini-resnet"))
-        surgered, _ = replace_activations(preset("mini-resnet"), INITIAL, None, HS)
+        surgered, _ = replace_activations(preset("mini-resnet"), GroupSelector("initial"), None, HS)
         assert fingerprint(surgered) != a
         assert fingerprint(preset("mini-x3d")) != a
 
@@ -311,6 +308,10 @@ class TestSerialization:
             (lambda d: d.update(preset=5), "malformed 'preset' in ModelSpec: expected a string, got 5"),
             (lambda d: d.update(clases=10), "unknown key 'clases' in ModelSpec"),
             (lambda d: d["stages"][2][0].update(chanels=32), "unknown key 'chanels' in BlockSpec"),
+            (lambda d: d["stages"][0][0].update(channels=0), "malformed 'channels' in BlockSpec: expected an integer >= 1, got 0"),
+            (lambda d: d.update(num_classes=1), "malformed 'num_classes' in ModelSpec: expected an integer >= 2, got 1"),
+            (lambda d: d["stages"][1].clear(), "stage 2 has no blocks"),
+            (lambda d: d["stages"][3][0].update(channels=16), "channel counts must be non-decreasing across blocks"),
         ]:
             doc = record_to_json(preset("mini-resnet"))
             edit(doc)
@@ -335,7 +336,7 @@ class TestBuildModel:
 
     def test_weights_independent_of_activation_kinds(self):
         base = build_model(preset("mini-resnet"), Rng(3))
-        surgered_spec, _ = replace_activations(preset("mini-resnet"), ALL, None, HS)
+        surgered_spec, _ = replace_activations(preset("mini-resnet"), GroupSelector("all"), None, HS)
         surgered = build_model(surgered_spec, Rng(3))
         assert list(base.params.keys()) == list(surgered.params.keys())
         for k in base.params:
@@ -390,7 +391,7 @@ class TestForward:
 
     def test_all_relu_surgery_is_identity_on_mini_resnet(self):
         spec = preset("mini-resnet")
-        same, _ = replace_activations(spec, ALL, None, RELU)
+        same, _ = replace_activations(spec, GroupSelector("all"), None, RELU)
         rs = np.random.RandomState(73)
         batch = rs.uniform(0, 1, (2, 3, 32, 32)).astype(np.float32)
         assert np.array_equal(
@@ -400,7 +401,7 @@ class TestForward:
     def test_shapes_invariant_under_surgery(self):
         rs = np.random.RandomState(79)
         batch = rs.uniform(0, 1, (2, 3, 32, 32)).astype(np.float32)
-        for sel in (INITIAL, MIDDLE, LAST, ALL):
+        for sel in (GroupSelector("initial"), MIDDLE, GroupSelector("last"), GroupSelector("all")):
             spec, _ = replace_activations(preset("mini-x3d"), sel, None, HS)
             assert forward(build_model(spec, Rng(6)), batch).shape == (2, 10)
 

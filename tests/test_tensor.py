@@ -248,6 +248,13 @@ class TestConv2d:
                 conv2d_forward(x, w, b2, stride=stride)
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 conv2d_backward(x, w, up, stride=stride)
+        w = np.zeros((2, 3, 3, 3), dtype=np.float32)
+        for bad_up, message in [
+            (np.zeros((1, 2, 2, 2)), "upstream shape (1, 2, 2, 2) != forward output shape (1, 2, 4, 4)"),
+            (np.zeros((2, 4, 4)), "conv upstream must have rank 4, got shape (2, 4, 4)"),
+        ]:
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                conv2d_backward(x, w, bad_up, stride=1)
 
     @pytest.mark.parametrize(
         "x_shape, w_shape",
@@ -396,6 +403,9 @@ class TestDense:
             dense_forward(x, w, np.zeros(5, dtype=np.float32))
         with pytest.raises(ShapeError, match=message):
             dense_backward(x, w, np.zeros((2, 5), dtype=np.float32))
+        w = np.zeros((3, 5), dtype=np.float32)
+        with pytest.raises(ShapeError, match=re.escape("upstream shape (2, 4) != output shape (2, 5)")):
+            dense_backward(x, w, np.zeros((2, 4), dtype=np.float32))
 
 
 class TestGlobalAvgPool:
@@ -417,6 +427,8 @@ class TestGlobalAvgPool:
 
         gx = global_avg_pool_backward(up, 4, 4)
         assert rel_err(fd_grad(loss, x, 0.05), gx) < 1e-3
+        with pytest.raises(ShapeError, match="^bad spatial dims 0x4$"):
+            global_avg_pool_backward(up, 0, 4)
 
 
 class TestSoftmaxCrossEntropy:
@@ -473,8 +485,11 @@ class TestSoftmaxCrossEntropy:
             ([0.9, 1.9], "got 0.9 at index 0"),
             ([1.0, np.nan], "got nan at index 1"),
             ([0, -np.inf], "got -inf at index 1"),
+            ([True, False], "got dtype bool"),
+            (["0", "1"], "got dtype <U1"),
+            (np.array([0, 1], dtype=object), "got dtype object"),
         ],
-        ids=["fractional", "nan", "inf"],
+        ids=["fractional", "nan", "inf", "bool", "str", "object"],
     )
     def test_non_integer_label_rejected(self, labels, message):
         """No truncation to int64, and no cast warning ahead of the error."""
