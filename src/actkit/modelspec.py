@@ -259,8 +259,10 @@ def record_from_json(cls, doc: object):
 
 def _decode(tp, value):
     """`value` read as annotation `tp`; a value that cannot be a `tp` raises TypeError. An int takes
-    an integer (>= n for Annotated[int, n]), a float any finite number, neither a bool; a tuple a list,
-    a kind or selector its text, a record a dict (record_from_json); each also takes itself."""
+    an integer (>= n for Annotated[int, n]), a float any finite number (not an int past float's
+    range), neither a bool; a tuple a list, a kind or selector its text (a text its parser rejects
+    raises TypeError with the parser's message), a record a dict (record_from_json); each also
+    takes itself."""
     args = get_args(tp)
     if get_origin(tp) is Annotated:  # Annotated[int, n]
         value = _decode(args[0], value)
@@ -277,16 +279,27 @@ def _decode(tp, value):
     if tp in _FROM_TEXT and not isinstance(value, tp):
         if not isinstance(value, str):
             raise TypeError(f"expected a string, got {value!r}")
-        return _FROM_TEXT[tp](value)
+        try:
+            return _FROM_TEXT[tp](value)
+        except ActkitError as exc:
+            raise TypeError(str(exc)) from None
     if is_dataclass(tp) and not isinstance(value, tp):
         return record_from_json(tp, value)
     if tp is int and not _is_int(value):
         raise TypeError(f"expected an integer, got {value!r}")
     if tp is float and not (
-        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        isinstance(value, numbers.Real) and not isinstance(value, bool) and _is_finite(value)
     ):
         raise TypeError(f"expected a finite number, got {value!r}")
     return value
+
+
+def _is_finite(value: numbers.Real) -> bool:
+    """math.isfinite, with an int past float's range (where it raises OverflowError) not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # MIDDLE and GroupSelector.from_string stay only because perfbench's workloads call them; they

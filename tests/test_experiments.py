@@ -5,6 +5,7 @@ kept tiny; the desk-scale learning check lives in the acceptance suite."""
 import json
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from actkit import (
     MIDDLE,
     ActivationKind,
+    BlockSpec,
     ConfigError,
     DataConfig,
     DomainError,
@@ -37,6 +39,7 @@ from actkit import ModelSpec, experiments, modelspec, record_from_json, record_t
 from actkit.experiments import ExperimentReport, SeedRun
 
 HS = ActivationKind.HARDSWISH
+KINDS = "(expected one of: relu, relu6, sigmoid, swish, hardswish)"
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -149,15 +152,53 @@ class TestConfigValidation:
                 "malformed 'mean_accuracy' in ExperimentReport: expected a finite number, got [1]",
             ),
             (GroupSelector, {"text": 5}, "malformed 'text' in GroupSelector: expected a string, got 5"),
+            (
+                SurgeryStep,
+                {"selector": "all", "to": "hardswsh"},
+                f"malformed 'to' in SurgeryStep: unknown activation kind 'hardswsh' {KINDS}",
+            ),
+            (
+                SurgeryStep,
+                {"selector": "bogus", "to": "relu"},
+                "malformed 'selector' in SurgeryStep: cannot parse selector 'bogus' "
+                "(expected initial, middle, last, all, band:a, band:b or site:<id>)",
+            ),
+            (
+                BlockSpec,
+                {"channels": 8, "stride": 1, "act_a": "rel", "act_b": "relu"},
+                f"malformed 'act_a' in BlockSpec: unknown activation kind 'rel' {KINDS}",
+            ),
+            (
+                Hyperparams,
+                json.loads('{"lr": 1' + "0" * 400 + "}"),
+                f"malformed 'lr' in Hyperparams: expected a finite number, got {10**400!r}",
+            ),
         ],
-        ids=["data-dir-int", "seed-float", "mean-list", "selector-int"],
+        ids=[
+            "data-dir-int",
+            "seed-float",
+            "mean-list",
+            "selector-int",
+            "kind-typo",
+            "selector-typo",
+            "block-kind-typo",
+            "lr-past-float-range",
+        ],
     )
     def test_constructor_checks_fields_as_the_reader_does(self, cls, doc, message):
+        """A text its parser rejects, or an int no float can hold, is a field error like any other."""
+        names = {f.metadata.get("json", f.name): f.name for f in fields(cls)}
         with pytest.raises(ConfigError) as built:
-            cls(**doc)
+            cls(**{names[key]: value for key, value in doc.items()})
         with pytest.raises(ConfigError) as read:
             record_from_json(cls, doc)
         assert str(built.value) == str(read.value) == message
+
+    def test_parsers_called_directly_keep_their_errors(self):
+        with pytest.raises(DomainError, match=r"^unknown activation kind 'hardswsh' \(expected"):
+            ActivationKind.from_name("hardswsh")
+        with pytest.raises(ConfigError, match=r"^cannot parse selector 'bogus' \(expected"):
+            GroupSelector("bogus")
 
     def test_constructor_takes_json_forms(self):
         """A field also takes its JSON form: a selector's or a kind's text, a list, a dict."""

@@ -83,6 +83,9 @@ def conv2d_f64(x, w, b, stride):
     return out + np.asarray(b, dtype=np.float64)[:, None, None]
 
 
+BLOCK = tensor._UNIFORM_BLOCK  # draws per block in Rng.uniforms
+
+
 class TestRng:
     """SplitMix64: fixed test vector, block/scalar equality, uniform range."""
 
@@ -107,6 +110,35 @@ class TestRng:
         for _ in range(100):
             b.next_uniform()
         assert a.next_uint64() == b.next_uint64()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_blocks_equal_scalar_draws_across_block_edges(self, seed, n):
+        scalar, block = Rng(seed), Rng(seed)
+        want = np.array([scalar.next_uniform() for _ in range(n)], dtype=np.float64)
+        got = block.uniforms(n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert block.next_uint64() == scalar.next_uint64()
+
+    @pytest.mark.parametrize("a, b", [(0, 5), (7, BLOCK), (BLOCK + 3, 2 * BLOCK - 1)])
+    def test_consecutive_calls_continue_the_stream(self, a, b):
+        split, whole = Rng(77), Rng(77)
+        got = np.concatenate([split.uniforms(a), split.uniforms(b)])
+        assert got.tobytes() == whole.uniforms(a + b).tobytes()
+        assert split.next_uint64() == whole.next_uint64()
+
+    def test_large_call_holds_result_plus_block_scratch(self):
+        """A 2^20-draw call holds its 8 MiB result and two block-sized scratch arrays;
+        numpy reports its buffers to tracemalloc."""
+        n = 1 << 20
+        tracemalloc.start()
+        try:
+            Rng(3).uniforms(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + (1 << 20)
 
     def test_uniforms_in_unit_interval(self):
         u = Rng(123).uniforms(100_000)
