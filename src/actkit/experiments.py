@@ -22,6 +22,7 @@ from typing import Annotated
 
 import numpy as np
 
+from .chunks import _chunk_pool
 from .dataio import ImageDataset, gen_synthetic_images, load_cifar10_binary, subset
 from .errors import ConfigError, DomainError, FormatError
 from .kernels import ActivationKind
@@ -29,7 +30,6 @@ from .modelspec import (
     GroupSelector,
     Model,
     ModelSpec,
-    _chunk_pool,
     _Record,
     build_model,
     fingerprint,

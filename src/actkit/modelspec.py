@@ -9,19 +9,17 @@ a function of the seed alone, never of the activation kinds.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import json
 import math
 import numbers
-import os
-import threading
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .chunks import _cut, _run_chunks
 from .errors import ActkitError, ConfigError, DomainError
 from .kernels import ActivationKind, activate_batch, activate_batch_backward
 from .tensor import (
@@ -387,124 +385,23 @@ def _forward_internal(model: Model, batch: np.ndarray, record: bool):
 # GEMM has enough rows to stay out of OpenBLAS's small-matrix kernels (another summation
 # order): a chunk's bits never depend on the core count.
 _FORWARD_CHUNK, _STEP_CHUNK = 32, 16
-# lets one _chunk_pool block at a time hold OpenBLAS at one thread and start threads
-_pool_lock = threading.Lock()
-_held = threading.local()  # .pool: the pool of the _chunk_pool block this thread holds
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) for the thread count of the OpenBLAS that numpy's wheel ships in
-    numpy.libs, or None if no library there exports a known pair."""
-    import ctypes
-    import glob
-
-    libs = os.path.normpath(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs"))
-    for path in sorted(glob.glob(os.path.join(libs, "lib*openblas*.so"))):
-        lib = ctypes.CDLL(path)  # the copy numpy loaded: the loader matches the file
-        for prefix in ("scipy_openblas", "openblas"):
-            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
-            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _chunk_pool():
-    """The thread pool of the _run_chunks calls inside the block: one thread per core but
-    the caller's, with OpenBLAS held at one thread; the threads end with the block.
-
-    A nested block on the thread that holds the pool gets the same pool. Yields None, so
-    that the caller runs every chunk, on one core, without numpy's OpenBLAS thread
-    controls, or on any other thread while one holds the pool. A training run opens one
-    block for its steps and evaluation: a thread started per step could start before the
-    last one had handed back its malloc arena, which keeps a chunk's worth of memory.
-    """
-    if hasattr(_held, "pool"):
-        yield _held.pool
-        return
-    blas = _openblas_threads()
-    workers = len(os.sched_getaffinity(0)) - 1 if blas is not None else 0
-    if workers < 1 or not _pool_lock.acquire(blocking=False):
-        yield None
-        return
-    try:
-        from concurrent.futures import ThreadPoolExecutor
-
-        threads = blas[0]()
-        blas[1](1)
+def _run_image_chunks(fn, bounds: list[tuple[int, int]]) -> list:
+    """_run_chunks, with a chunk's images in front of its ActkitError: "images 32-63 of 96: ..."."""
+    def run(lo: int, hi: int):
         try:
-            with ThreadPoolExecutor(workers, thread_name_prefix="actkit-chunks") as _held.pool:
-                yield _held.pool
-        finally:
-            vars(_held).pop("pool", None)
-            blas[1](threads)
-    finally:
-        _pool_lock.release()
-
-
-def _cut(n: int, size: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of n images cut into n // size near-equal chunks of whole images."""
-    k = n // size
-    return [(n * j // k, n * (j + 1) // k) for j in range(k)]
-
-
-def _run_chunks(fn, bounds: list[tuple[int, int]]) -> list:
-    """[fn(lo, hi) for lo, hi in bounds], run by the caller's thread and the threads of its
-    _chunk_pool, if it gets one.
-
-    The threads take chunk indices in order from one shared iterator, each under the
-    caller's numpy error state. Once a chunk raises, no new chunk starts; the running
-    ones finish, and the lowest failing index is re-raised: an ActkitError as the same
-    class with the chunk's images in front ("images 32-63 of 96: ..."), any other
-    exception as it is.
-    """
-    err = np.geterr()
-    results = [None] * len(bounds)
-    failed: dict[int, BaseException] = {}
-    jobs = iter(range(len(bounds)))
-    take = threading.Lock()
-
-    def work() -> None:
-        # a pool thread starts with numpy's default error handling, not the caller's
-        with np.errstate(**err):
-            while True:
-                with take:
-                    j = None if failed else next(jobs, None)
-                if j is None:
-                    return
-                try:
-                    results[j] = fn(*bounds[j])
-                except BaseException as exc:
-                    with take:
-                        failed[j] = exc
-
-    with _chunk_pool() as pool:
-        # one helper per chunk but the caller's; the pool runs as many at once as it has threads
-        helpers = [pool.submit(work) for _ in bounds[1:]] if pool is not None else []
-        try:
-            work()
-        finally:
-            for h in helpers:
-                h.result()
-    if failed:
-        j = min(failed)
-        exc = failed[j]
-        if isinstance(exc, ActkitError):
-            lo, hi = bounds[j]
+            return fn(lo, hi)
+        except ActkitError as exc:
             raise type(exc)(f"images {lo}-{hi - 1} of {bounds[-1][1]}: {exc}") from exc
-        raise exc
-    return results
+    return _run_chunks(run, bounds)
 
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Run the model on an NCHW batch; returns (N, num_classes) logits. Pure.
 
     A batch of n >= 64 images always runs as n // 32 near-equal chunks of whole images
-    on every core (_run_chunks), so its peak memory is a few chunks', not the batch's,
+    on every core (_run_image_chunks), so its peak memory is a few chunks', not the batch's,
     and the logits are the same bits as one whole-batch pass. The first chunk (in order)
     to raise an ActkitError re-raises it with its images in front, e.g. "images 32-63 of
     96: stem.act: ..."; any other exception propagates as it is. A smaller batch runs in
@@ -514,7 +411,7 @@ def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     bounds = _cut(batch.shape[0] if batch.ndim == 4 else 0, _FORWARD_CHUNK)
     if len(bounds) < 2:
         return _forward_internal(model, batch, record=False)[0]
-    chunks = _run_chunks(lambda lo, hi: _forward_internal(model, batch[lo:hi], record=False)[0], bounds)
+    chunks = _run_image_chunks(lambda lo, hi: _forward_internal(model, batch[lo:hi], record=False)[0], bounds)
     return np.concatenate(chunks)
 
 
@@ -524,7 +421,7 @@ def loss_and_gradients(
     """Mean cross-entropy loss and parameter gradients for one batch.
 
     A batch of n >= 32 images, once its labels pass class_labels, runs as n // 16 near-equal
-    chunks on every core (_run_chunks, as in forward), summed by chunk size in chunk order:
+    chunks on every core (_run_image_chunks, as in forward), summed by chunk size in chunk order:
     the same bits for any core count, within float32 rounding of one whole-batch pass. A
     smaller batch runs in one pass.
     """
@@ -534,7 +431,7 @@ def loss_and_gradients(
     if len(bounds) < 2:
         return _loss_and_gradients_pass(model, batch, labels)
     labels = class_labels(labels, n, model.spec.num_classes)
-    parts = _run_chunks(lambda lo, hi: _loss_and_gradients_pass(model, batch[lo:hi], labels[lo:hi]), bounds)
+    parts = _run_image_chunks(lambda lo, hi: _loss_and_gradients_pass(model, batch[lo:hi], labels[lo:hi]), bounds)
     loss, grads = 0.0, {}
     for (lo, hi), (part_loss, part_grads) in zip(bounds, parts):
         share = (hi - lo) / n

@@ -35,7 +35,7 @@ from actkit import (
     run_experiment,
     run_grid,
 )
-from actkit import ModelSpec, experiments, modelspec, record_from_json, record_to_json
+from actkit import ModelSpec, chunks, experiments, modelspec, record_from_json, record_to_json
 from actkit.experiments import ExperimentReport, SeedRun
 
 HS = ActivationKind.HARDSWISH
@@ -299,7 +299,7 @@ class TestChunkedStep:
             with monkeypatch.context() as m:
                 m.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
                 assert self.step_bytes(model, data) == want
-        monkeypatch.setattr(modelspec, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(chunks, "_openblas_threads", lambda: None)
         assert self.step_bytes(model, data) == want
 
     @pytest.mark.parametrize("n", [8, 31, 32, 33, 40, 48])
@@ -317,23 +317,10 @@ class TestChunkedStep:
         for name, g in want.items():
             assert np.allclose(grads[name], g, rtol=1e-4, atol=1e-6 * np.abs(g).max()), name
 
-    def test_one_pool_for_all_steps_of_a_run(self, monkeypatch):
+    def test_one_pool_for_all_steps_of_a_run(self, pool_spy):
         """A pool per step would start a thread per step; one could start before the last had
         handed back its malloc arena, and each extra arena holds a chunk's memory. The 96-image
         evaluation (3 forward chunks) runs on the run's pool too."""
-        if modelspec._openblas_threads() is None:
-            pytest.skip("without OpenBLAS thread controls training makes no pool")
-        import concurrent.futures
-
-        pools = []
-
-        class CountedPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
         cfg = tiny_config(
             preset="mini-x3d",
             dataset=DataConfig(source="synthetic-images", train_size=96, test_size=96),
@@ -341,7 +328,7 @@ class TestChunkedStep:
             seeds=(1, 2),
         )
         run_experiment(cfg)  # 2 seeds x (2 epochs x 3 steps + 1 evaluation)
-        assert len(pools) == 2
+        assert len(pool_spy.pools) == 2
 
     def test_error_names_seed_step_and_chunk(self):
         """An inf pixel in the first batch's image 20 fails the 16-31 chunk's stem activation."""

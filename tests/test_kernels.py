@@ -2,6 +2,8 @@
 continuity, tail exactness, derivative conventions, block invariance, memory,
 and the approximation analyzer."""
 
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -19,7 +21,7 @@ from actkit import (
     activate_derivative,
     max_approx_error,
 )
-from actkit import kernels
+from actkit import chunks, kernels
 
 ALL_KINDS = list(ActivationKind)
 
@@ -330,6 +332,20 @@ class TestValidation:
             activate_batch(ActivationKind.SWISH, xs)
         assert str(err.value) == f"swish batch (2, 3, 4) has {message}"
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("x", [1e39, -1e39])
+    def test_batch_rejects_values_beyond_float32_as_given(self, kind, x):
+        """A float64 value that float32 cannot hold is rejected as the scalar rejects it, and
+        named as the caller wrote it, not as the inf it casts to; the cast raises no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                activate_batch(kind, np.array([1.0, x]))
+        assert str(err.value) == f"{kind.value} batch (2,) has 1 non-finite elements, first {x} at flat index 1"
+        assert activate_batch(kind, np.array([1.0, -FMAX])).tobytes() == activate_batch(
+            kind, np.array([1.0, -FMAX], dtype=np.float32)
+        ).tobytes()
+
     def test_backward_rejects_shape_mismatch(self):
         xs = np.zeros((2, 3), dtype=np.float32)
         up = np.zeros((3, 2), dtype=np.float32)
@@ -426,3 +442,85 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.1 * result.nbytes, (peak, result.nbytes)
+
+
+# A span is kernels._SPAN_BLOCKS whole blocks; sizes in blocks, plus a ragged tail of elements.
+SPAN_SIZES = {
+    "one-span": (15, 0),  # 15 blocks: one span, run directly
+    "two-spans-ragged": (15, 5),  # 16 blocks, the last one ragged: the smallest call cut in two
+    "past-edge": (16, 1),  # spans of 8 and 9 blocks, the last one of 1 element
+    "three-spans": (24, 3),
+}
+
+
+def span_input(blocks: int, tail: int):
+    n = blocks * kernels._BLOCK + tail
+    rs = np.random.RandomState(blocks * 97 + tail)
+    return rs.uniform(-8.0, 8.0, n).astype(np.float32), rs.uniform(-2.0, 2.0, n).astype(np.float32)
+
+
+def serial(monkeypatch, call):
+    """call() with every array one span, run directly on this thread."""
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_SPAN_BLOCKS", 2**30)
+        return call()
+
+
+EXECUTOR_PATHS = ["one-core", "two-cores", "no-blas-controls"]
+
+
+def executor_path(monkeypatch, path):
+    if path == "no-blas-controls":
+        monkeypatch.setattr(chunks, "_openblas_threads", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if path == "one-core" else {0, 1})
+
+
+class TestSpans:
+    """A call of two or more spans of kernels._SPAN_BLOCKS blocks runs them through the chunk
+    executor: on the caller's thread and a pool thread per other core, or on the caller's
+    thread alone. Results and non-finite input errors are the same bytes as one span."""
+
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    @pytest.mark.parametrize("size", list(SPAN_SIZES))
+    def test_same_bytes_as_one_span(self, size, path, monkeypatch):
+        x, up = span_input(*SPAN_SIZES[size])
+
+        def run():
+            return [activate_batch(k, x).tobytes() + activate_batch_backward(k, x, up).tobytes() for k in ALL_KINDS]
+
+        want = serial(monkeypatch, run)
+        executor_path(monkeypatch, path)
+        assert run() == want
+
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    @pytest.mark.parametrize(
+        "bad", [{3: np.inf, -2: np.nan}, {-5: np.nan}, {10 * (1 << 16): -np.inf, -1: np.inf}],
+        ids=["first-and-last-span", "last-span-only", "middle-and-last-span"],
+    )
+    def test_non_finite_error_same_bytes_as_one_span(self, bad, path, monkeypatch):
+        x, _ = span_input(*SPAN_SIZES["three-spans"])
+        for at, v in bad.items():
+            x[at] = v
+
+        def message():
+            with pytest.raises(DomainError) as err:
+                activate_batch(ActivationKind.SWISH, x)
+            return str(err.value)
+
+        want = serial(monkeypatch, message)
+        assert want.startswith(f"swish batch ({x.size},) has {len(bad)} non-finite elements, first ")
+        executor_path(monkeypatch, path)
+        assert message() == want
+
+    def test_one_pool_per_large_call(self, pool_spy):
+        """Each call of two or more spans opens one pool and ends it; one span opens none."""
+        small, up_small = span_input(*SPAN_SIZES["one-span"])
+        activate_batch(ActivationKind.SWISH, small)
+        activate_batch_backward(ActivationKind.SWISH, small, up_small)
+        assert pool_spy.pools == []
+        x, up = span_input(*SPAN_SIZES["three-spans"])
+        activate_batch(ActivationKind.SWISH, x)
+        activate_batch_backward(ActivationKind.SWISH, x, up)
+        assert len(pool_spy.pools) == 2
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("actkit-chunks")]

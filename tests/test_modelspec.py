@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import actkit
-from actkit import modelspec
+from actkit import chunks, kernels, modelspec
 
 from actkit import (
     BAND_A,
@@ -532,27 +532,28 @@ class TestChunkedForward:
         assert 1 <= len(calls) <= 9 * 2
 
     def test_lowest_failing_chunk_wins_when_a_later_one_fails_first(self, monkeypatch):
-        if modelspec._openblas_threads() is None:
+        if chunks._openblas_threads() is None:
             pytest.skip("without OpenBLAS thread controls the caller runs the chunks in order")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         later_failed = threading.Event()
+        first = actkit.DomainError("first")
 
         def fn(lo, hi):
             if lo == 0:  # runs on one thread until the other thread's chunk has raised
                 assert later_failed.wait(60)
-                raise actkit.DomainError("first")
+                raise first
             later_failed.set()
             raise actkit.DomainError("second")
 
         with pytest.raises(actkit.DomainError) as got:
-            modelspec._run_chunks(fn, [(0, 16), (16, 32)])
-        assert str(got.value) == "images 0-15 of 32: first"
+            chunks._run_chunks(fn, [(0, 16), (16, 32)])
+        assert got.value is first  # as it is: forward and loss_and_gradients name the images
 
     def test_nested_forward_runs_on_the_open_blocks_threads(self, model, images, monkeypatch):
         """A forward inside an open _chunk_pool block on the same thread (as evaluate inside a
         training run) gets that block's pool: the caller's first chunk waits until a pool thread
         has run a chunk, which never happens if the nested call runs alone."""
-        if modelspec._openblas_threads() is None:
+        if chunks._openblas_threads() is None:
             pytest.skip("without OpenBLAS thread controls there is no pool")
         batch = images[:96]
         want = _one_pass(model, batch).tobytes()
@@ -568,11 +569,41 @@ class TestChunkedForward:
             return activate_batch(kind, z)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with modelspec._chunk_pool() as pool:
+        with chunks._chunk_pool() as pool:
             monkeypatch.setattr(modelspec, "activate_batch", spy)
             assert pool is not None and forward(model, batch).tobytes() == want
             assert threads - {caller} and threads - {caller} <= set(pool._threads)
         assert all(t.name.startswith("actkit-chunks") for t in threads - {caller})
+
+    def test_no_pool_for_a_kernel_call_inside_a_chunk(self, model, images, pool_spy, monkeypatch):
+        """With one-block spans every activation in a 32-image chunk is a large kernel call.
+        Inside a chunk it runs its spans on the chunk's thread: the forward opens one pool,
+        its own, and hands it only its 2 helpers for 3 chunks. On the busy pool, the caller's
+        spans would wait behind the other chunks."""
+        batch = images[:96]
+        want = _one_pass(model, batch).tobytes()
+        monkeypatch.setattr(kernels, "_SPAN_BLOCKS", 1)
+        assert forward(model, batch).tobytes() == want
+        assert len(pool_spy.pools) == 1 and len(pool_spy.submits) == 2
+
+    def test_nested_run_chunks_runs_on_its_chunks_thread(self, monkeypatch):
+        """Each of two outer chunks, one per thread, runs three inner chunks and then waits for
+        the other's to finish: an inner call that waited for the busy pool never would."""
+        if chunks._openblas_threads() is None:
+            pytest.skip("without OpenBLAS thread controls the caller runs the chunks in order")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        done = [threading.Event(), threading.Event()]
+
+        def outer(lo, hi):
+            inner = chunks._run_chunks(lambda a, b: threading.current_thread(), [(0, 1), (1, 2), (2, 3)])
+            done[lo].set()
+            assert done[1 - lo].wait(30), "the other chunk's inner call did not finish"
+            return threading.current_thread(), inner
+
+        runs = chunks._run_chunks(outer, [(0, 1), (1, 2)])
+        assert runs[0][0] is not runs[1][0]
+        for thread, inner in runs:
+            assert inner == [thread] * 3
 
     def test_shape_error_names_its_chunk(self, model):
         with pytest.raises(actkit.ShapeError) as got:
@@ -603,7 +634,7 @@ class TestChunkedForward:
             batch[300, 0, 1, 2] = np.inf
         tracemalloc.start()
         try:
-            busy = modelspec._pool_lock if case == "pool-busy" else nullcontext()
+            busy = chunks._pool_lock if case == "pool-busy" else nullcontext()
             raises = pytest.raises(actkit.DomainError) if case == "non-finite" else nullcontext()
             with np.errstate(invalid="ignore"), busy, raises:
                 forward(model, batch)
@@ -621,13 +652,13 @@ class TestChunkedForward:
             threads.append(threading.get_ident())
             return activate_batch(kind, z)
 
-        monkeypatch.setattr(modelspec, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(chunks, "_openblas_threads", lambda: None)
         monkeypatch.setattr(modelspec, "activate_batch", spy)
         assert forward(model, batch).tobytes() == want
         assert len(threads) == 3 * 9 and set(threads) == {threading.get_ident()}
 
     def test_openblas_thread_count_restored(self, model, images, monkeypatch):
-        blas = modelspec._openblas_threads()
+        blas = chunks._openblas_threads()
         if blas is None:
             pytest.skip("numpy's OpenBLAS exports no known thread-count functions here")
         get, put = blas
@@ -659,7 +690,7 @@ class TestChunkedForward:
     def test_concurrent_and_nested_callers_run_serially(self, model, images):
         batch = images[:96]
         want = _one_pass(model, batch).tobytes()
-        with modelspec._pool_lock:  # as if another forward held the pool
+        with chunks._pool_lock:  # as if another forward held the pool
             assert forward(model, batch).tobytes() == want
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -749,7 +780,7 @@ class TestLossAndGradients:
 
 _DIGEST_SCRIPT = """
 import hashlib
-from actkit import Rng, build_model, forward, gen_synthetic_images, loss_and_gradients, modelspec, preset
+from actkit import Rng, build_model, chunks, forward, gen_synthetic_images, loss_and_gradients, modelspec, preset
 model = build_model(preset("mini-x3d"), Rng(7))
 data = gen_synthetic_images(32, seed=5)
 digest = hashlib.sha256(forward(model, data.images).tobytes())
@@ -757,7 +788,7 @@ digest.update(forward(model, gen_synthetic_images(96, seed=6).images).tobytes())
 steps = [modelspec._loss_and_gradients_pass(model, data.images, data.labels)]
 # without thread controls the two 16-image chunks run on this thread, so OpenBLAS runs
 # them at the environment's thread count
-modelspec._openblas_threads = lambda: None
+chunks._openblas_threads = lambda: None
 steps.append(loss_and_gradients(model, data.images, data.labels))
 for loss, grads in steps:
     digest.update(repr(loss).encode())
