@@ -15,6 +15,7 @@ import numpy as np
 
 from .chunks import _cut, _run_chunks
 from .errors import DomainError, ShapeError
+from .tensor import is_channels_last
 
 MAX_GRID_POINTS = 10**8  # bounds max_approx_error's run time (~1 s); it holds a few blocks at a time
 # Elements per block: one block's input, output and temporaries fit one core's 2 MiB L2.
@@ -150,12 +151,16 @@ def activate_derivative(kind: ActivationKind, x: float) -> float:
 
 def _blocked(kind: ActivationKind, given: np.ndarray, up: np.ndarray | None = None) -> np.ndarray:
     """kind's forward of given in float32 (up None) or up * f'(given), block by block into one
-    result; two or more spans run on every core. Each block is checked for finiteness (forward,
-    naming the element as given) or multiplied by up (backward) while in cache."""
+    result in given's memory order (channels-last, else C-contiguous; see actkit.tensor); two
+    or more spans run on every core. Each block is checked for finiteness (forward, naming the
+    element as given, by its C-order flat index) or multiplied by up (backward) while in cache."""
     with np.errstate(over="ignore"):  # a value beyond float32 casts to inf, which the forward rejects
-        arr = np.ascontiguousarray(given, dtype=np.float32)
-    out = np.empty_like(arr)
-    xs, res = arr.reshape(-1), out.reshape(-1)
+        arr = np.asarray(given, dtype=np.float32)
+    order = (0, 2, 3, 1) if is_channels_last(arr) else tuple(range(arr.ndim))
+    mem = np.ascontiguousarray(arr.transpose(order))  # arr's elements in memory order
+    out = np.empty_like(mem)
+    xs, res = mem.reshape(-1), out.reshape(-1)
+    ups = None if up is None else np.ascontiguousarray(up.transpose(order)).reshape(-1)
     fn = _FORWARD[kind] if up is None else _DERIV[kind]
 
     def span(lo: int, hi: int) -> None:
@@ -169,18 +174,18 @@ def _blocked(kind: ActivationKind, given: np.ndarray, up: np.ndarray | None = No
                                   f"first {given.flat[i]} at flat index {i}")
             fn(x, r)
             if up is not None:
-                r *= up.reshape(-1)[a : a + _BLOCK]
+                r *= ups[a : a + _BLOCK]
 
     spans = [(lo * _BLOCK, min(hi * _BLOCK, xs.size)) for lo, hi in _cut(-(-xs.size // _BLOCK), _SPAN_BLOCKS)]
     if len(spans) < 2:
         span(0, xs.size)
     else:
         _run_chunks(span, spans)
-    return out
+    return out.transpose(np.argsort(order))
 
 
 def activate_batch(kind: ActivationKind, xs: np.ndarray) -> np.ndarray:
-    """Elementwise activation over a float32 array; output shape equals input shape.
+    """Elementwise activation over a float32 array; output shape and memory order equal the input's.
 
     Rejects NaN, +-inf and values beyond float32 with a DomainError naming the first as given.
     """
@@ -188,11 +193,21 @@ def activate_batch(kind: ActivationKind, xs: np.ndarray) -> np.ndarray:
 
 
 def activate_batch_backward(kind: ActivationKind, xs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """upstream * f'(x), elementwise. Shapes must match; finiteness is not checked."""
-    arr = np.ascontiguousarray(xs, dtype=np.float32)
-    up = np.ascontiguousarray(upstream, dtype=np.float32)
+    """upstream * f'(x), elementwise, in xs's memory order. Shapes must match. NaN and +-inf
+    are not checked, but a value beyond float32 in either operand raises a DomainError naming
+    the first as given, as the forward does."""
+    given = np.asarray(xs), np.asarray(upstream)
+    with np.errstate(over="ignore"):  # a value beyond float32 casts to inf, named below as given
+        arr, up = [np.asarray(g, dtype=np.float32) for g in given]
     if arr.shape != up.shape:
         raise ShapeError(f"input shape {arr.shape} != upstream shape {up.shape}")
+    for what, g, a in zip(("input", "upstream"), given, (arr, up)):
+        if g.dtype.kind == "f" and g.dtype.itemsize > 4:  # only a wider operand can overflow the cast
+            beyond = np.isinf(a) & np.isfinite(g)
+            if beyond.any():
+                i = int(beyond.argmax())
+                raise DomainError(f"{kind.value} backward {what} {a.shape} has {np.count_nonzero(beyond)} "
+                                  f"elements beyond float32, first {g.flat[i]} at flat index {i}")
     return _blocked(kind, arr, up)
 
 

@@ -24,6 +24,7 @@ from .errors import ActkitError, ConfigError, DomainError
 from .kernels import ActivationKind, activate_batch, activate_batch_backward
 from .tensor import (
     Rng,
+    channels_last,
     class_labels,
     conv2d_backward,
     conv2d_forward,
@@ -355,13 +356,15 @@ def _activate_at(site_id: str, kind: ActivationKind, z: np.ndarray) -> np.ndarra
 
 
 def _forward_internal(model: Model, batch: np.ndarray, record: bool):
-    """Logits plus what backward reads: the stem pre-activation and one (prefix, blk, x_in,
-    z1, a1, s) record per block (None and [] unless record), pooled features, pre-pool shape."""
+    """Logits plus what backward reads: the channels-last batch, the stem pre-activation and one
+    (prefix, blk, x_in, z1, a1, s) record per block (None, None and [] unless record), pooled
+    features, pre-pool shape. The one layout change is here: every activation is channels-last."""
     p = model.params
-    z_stem = conv2d_forward(batch, p["stem.w"], p["stem.b"], stride=1)
+    x = channels_last(batch)
+    z_stem = conv2d_forward(x, p["stem.w"], p["stem.b"], stride=1)
     cur = _activate_at("stem.act", model.spec.stem_act, z_stem)
     if not record:
-        z_stem = None
+        x = z_stem = None
     blocks = []
     for _, prefix, blk in _blocks(model.spec):
         x_in = cur
@@ -377,7 +380,7 @@ def _forward_internal(model: Model, batch: np.ndarray, record: bool):
             blocks.append((prefix, blk, x_in, z1, a1, s))
     feats = global_avg_pool(cur)
     logits = dense_forward(feats, p["head.w"], p["head.b"])
-    return logits, (z_stem, blocks, feats, cur.shape)
+    return logits, (x, z_stem, blocks, feats, cur.shape)
 
 
 # forward runs a batch of n >= 64 images as n // 32 near-equal chunks, and loss_and_gradients
@@ -449,7 +452,7 @@ def _loss_and_gradients_pass(
     model: Model, batch: np.ndarray, labels: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy loss and exact parameter gradients for one batch, in one pass."""
-    logits, (z_stem, blocks, feats, last_shape) = _forward_internal(model, batch, record=True)
+    logits, (x, z_stem, blocks, feats, last_shape) = _forward_internal(model, batch, record=True)
     loss, g_logits = softmax_cross_entropy(logits, labels)
     p = model.params
     grads: dict[str, np.ndarray] = {}
@@ -468,5 +471,5 @@ def _loss_and_gradients_pass(
             gs = conv_back(f"{prefix}.proj", x_in, gs, blk.stride)
         g_cur = gx + gs
     g_stem = activate_batch_backward(model.spec.stem_act, z_stem, g_cur)
-    _, grads["stem.w"], grads["stem.b"] = conv2d_backward(batch, p["stem.w"], g_stem, 1, input_grad=False)
+    _, grads["stem.w"], grads["stem.b"] = conv2d_backward(x, p["stem.w"], g_stem, 1, input_grad=False)
     return loss, {name: grads[name] for name in model.params}

@@ -1,8 +1,10 @@
 """Dense float32 tensors, a SplitMix64 PRNG, and the layer ops for staged CNNs.
 
-Tensors are plain C-contiguous float32 numpy arrays of rank <= 4 (NCHW for images).
-Every op here is pure: inputs are never mutated, outputs are fresh arrays, and the
-same inputs produce bit-identical outputs.
+Tensors are float32 numpy arrays of rank <= 4 (NCHW shape for images), C-contiguous or, for
+images, channels-last: the transpose(0, 3, 1, 2) view of a C-contiguous NHWC array. The conv
+ops and activation kernels return results in their input's memory order, which never changes a
+value; the other ops return C-contiguous arrays. Every op here is pure: inputs are never
+mutated, outputs are fresh arrays, and the same inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ShapeError
 
@@ -96,11 +97,22 @@ def he_init(shape: tuple[int, ...], fan_in: int, rng: Rng) -> np.ndarray:
     return ((2.0 * u - 1.0) * bound).astype(REAL).reshape(shape)
 
 
+def is_channels_last(x: np.ndarray) -> bool:
+    """Whether x is rank 4 and channels-last but not also C-contiguous (as when C == 1 or H == W == 1)."""
+    return x.ndim == 4 and not x.flags.c_contiguous and x.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
 def _as_real(x: np.ndarray, rank: int, what: str) -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=REAL)
+    """float32 x of the given rank (else a ShapeError), C-contiguous unless it is channels-last."""
+    arr = np.asarray(x, dtype=REAL)
     if arr.ndim != rank:
         raise ShapeError(f"{what} must have rank {rank}, got shape {arr.shape}")
-    return arr
+    return arr if is_channels_last(arr) else np.ascontiguousarray(arr)
+
+
+def channels_last(x: np.ndarray) -> np.ndarray:
+    """float32 NCHW x stored channels-last, copied only if it is not; a ShapeError unless rank 4."""
+    return np.ascontiguousarray(_as_real(x, 4, "conv input").transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 # Bytes of patch matrix that conv2d_forward builds per batch slice: about one core's L2.
@@ -132,7 +144,7 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride:
     """Cross-correlation with 'same' zero padding, then striding.
 
     x is NCHW, weights are (out_ch, in_ch, K, K) with K odd, bias is (out_ch,).
-    Output spatial dims are ceil(H/stride) x ceil(W/stride).
+    Output spatial dims are ceil(H/stride) x ceil(W/stride), in x's memory order.
 
     The forward is one GEMM per batch slice: the batch is cut into the fewest
     slices of whole images whose channels-innermost (rows, K*K*C) patch matrix
@@ -142,7 +154,8 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride:
     same K*K*C columns as in one whole-batch GEMM, bit for bit. Near-equal slices
     each hold about half the limit or more, which keeps them clear of the
     small-matrix kernels (another summation order) that BLAS may pick for tiny
-    GEMMs; a lone last image could fall into them.
+    GEMMs; a lone last image could fall into them. A channels-last x and output are
+    the NHWC arrays the GEMMs read and write, with no transposing copy.
     """
     x, w, ho, wo = _conv_operands(x, weights, stride)
     b = _as_real(bias, 1, "conv bias")
@@ -150,7 +163,7 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride:
     o, _, k, _ = w.shape
     if b.shape[0] != o:
         raise ShapeError(f"bias length {b.shape[0]} != output channels {o}")
-    x_nhwc = x.transpose(0, 2, 3, 1)
+    x_nhwc = x.transpose(0, 2, 3, 1)  # C-contiguous if x is channels-last
     w_mat = w.transpose(0, 2, 3, 1).reshape(o, -1).T
     out = np.empty((n, ho, wo, o), dtype=REAL)
     per_slice = max(1, _SLICE_PATCH_BYTES // (ho * wo * k * k * c * out.itemsize))
@@ -160,7 +173,7 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride:
         out_rows = out[lo:hi].reshape(-1, o)
         np.matmul(_patches(x_nhwc[lo:hi], k, stride), w_mat, out=out_rows)
         out_rows += b
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    return np.asarray(out.transpose(0, 3, 1, 2), order="K" if is_channels_last(x) else "C")
 
 
 def _patches(x_nhwc: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -169,8 +182,18 @@ def _patches(x_nhwc: np.ndarray, k: int, stride: int) -> np.ndarray:
     pad = (k - 1) // 2
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=REAL)
     xp[:, pad : pad + h, pad : pad + w] = x_nhwc
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]  # N,Ho,Wo,C,K,K
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, k * k * c)
+    return _windows(xp, 0, 0, -(-h // stride), -(-w // stride), k, k, stride)
+
+
+def _windows(xp: np.ndarray, y0: int, x0: int, rows: int, cols: int, ky: int, kx: int, stride: int) -> np.ndarray:
+    """Patch matrix (N*rows*cols, ky*kx*C) of C-contiguous NHWC xp, channels innermost: row (i, j)
+    of an image is its ky x kx window at (y0 + stride*i, x0 + stride*j), copied from one view."""
+    n, _, _, c = xp.shape
+    s0, s1, s2, s3 = xp.strides
+    view = np.ndarray(
+        (n, rows, cols, ky, kx, c), REAL, xp, y0 * s1 + x0 * s2, (s0, stride * s1, stride * s2, s1, s2, s3)
+    )
+    return view.reshape(-1, ky * kx * c)
 
 
 def conv2d_backward(
@@ -184,9 +207,11 @@ def conv2d_backward(
     (py + pad, px + pad) mod stride. So each phase is a stride-1 correlation of the
     upstream with that sub-kernel, rotated 180 degrees with its in/out channels
     swapped, written to grad_input[:, :, py::stride, px::stride]. A phase with no
-    taps (K < stride) gets zeros. With input_grad=False grad_input is None and
-    not computed. It rejects exactly the x, weights and stride that conv2d_forward rejects,
-    with the same errors, and an upstream not shaped like that forward's output.
+    taps (K < stride) gets zeros. grad_input is in x's memory order, and grad_bias
+    sums the upstream in C order, whatever its layout. With input_grad=False
+    grad_input is None and not computed. It rejects exactly the x, weights and
+    stride that conv2d_forward rejects, with the same errors, and an upstream not
+    shaped like that forward's output.
     """
     x, w, ho, wo = _conv_operands(x, weights, stride)
     up = _as_real(upstream, 4, "conv upstream")
@@ -196,7 +221,7 @@ def conv2d_backward(
         raise ShapeError(f"upstream shape {up.shape} != forward output shape {(n, o, ho, wo)}")
 
     up_nhwc = up.transpose(0, 2, 3, 1)
-    grad_b = up.sum(axis=(0, 2, 3))
+    grad_b = np.ascontiguousarray(up).sum(axis=(0, 2, 3))  # the summation order of C-order memory
     grad_w = up_nhwc.reshape(-1, o).T @ _patches(x.transpose(0, 2, 3, 1), k, stride)  # patches(x) freed here
     grad_w = np.ascontiguousarray(grad_w.reshape(o, k, k, c).transpose(0, 3, 1, 2))
     if not input_grad:
@@ -217,15 +242,12 @@ def conv2d_backward(
             w_sub = w[:, :, ry::stride, rx::stride]
             _, _, ty, tx = w_sub.shape
             jy, jx = len(range(py, h, stride)), len(range(px, wid, stride))
-            if not (ty and tx and jy and jx):
+            if not (n and ty and tx and jy and jx):  # (an empty up_pad takes no view offset)
                 continue
-            y0, x0 = e + qy - ty + 1, e + qx - tx + 1
-            window = up_pad[:, y0 : y0 + jy + ty - 1, x0 : x0 + jx + tx - 1]
-            win = sliding_window_view(window, (ty, tx), axis=(1, 2))  # N,Jy,Jx,O,Ty,Tx
-            patches = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, ty * tx * o)
+            patches = _windows(up_pad, e + qy - ty + 1, e + qx - tx + 1, jy, jx, ty, tx, 1)
             w_flip = w_sub[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(ty * tx * o, c)
             grad_x[:, py::stride, px::stride] = (patches @ w_flip).reshape(n, jy, jx, c)
-    return np.ascontiguousarray(grad_x.transpose(0, 3, 1, 2)), grad_w, grad_b
+    return np.asarray(grad_x.transpose(0, 3, 1, 2), order="K" if is_channels_last(x) else "C"), grad_w, grad_b
 
 
 def _dense_operands(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +287,7 @@ def dense_backward(
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Mean over the spatial dims: NCHW -> (N, C)."""
-    x = _as_real(x, 4, "pool input")
+    x = np.ascontiguousarray(_as_real(x, 4, "pool input"))  # C order, whose summation order sets the bits
     return np.ascontiguousarray(x.mean(axis=(2, 3), dtype=REAL))
 
 

@@ -21,7 +21,7 @@ from actkit import (
     activate_derivative,
     max_approx_error,
 )
-from actkit import chunks, kernels
+from actkit import chunks, kernels, tensor
 
 ALL_KINDS = list(ActivationKind)
 
@@ -346,6 +346,28 @@ class TestValidation:
             kind, np.array([1.0, -FMAX], dtype=np.float32)
         ).tobytes()
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("operand", ["input", "upstream"])
+    @pytest.mark.parametrize("x", [1e39, -1e39])
+    def test_backward_rejects_values_beyond_float32_as_given(self, kind, operand, x):
+        """A float64 operand of the backward that float32 cannot hold raises a DomainError
+        naming the operand and the value as given, with no overflow warning from the cast;
+        NaN and +-inf themselves still pass unchecked, and so does every float32 operand."""
+        ops = {"input": np.array([1.0, 2.0, x]), "upstream": np.array([1.0, 1.0, 1.0])}
+        if operand == "upstream":
+            ops = {"input": ops["upstream"], "upstream": ops["input"]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                activate_batch_backward(kind, ops["input"], ops["upstream"])
+        assert str(err.value) == (
+            f"{kind.value} backward {operand} (3,) has 1 elements beyond float32, first {x} at flat index 2"
+        )
+        ok = np.array([1.0, np.inf, np.nan, -FMAX])
+        xs = np.array([1.0, 2.0, 3.0, -4.0])  # |f'(-4)| <= 1, so -FMAX times it stays finite
+        got = activate_batch_backward(kind, xs, ok)
+        assert got.tobytes() == activate_batch_backward(kind, xs.astype(np.float32), ok.astype(np.float32)).tobytes()
+
     def test_backward_rejects_shape_mismatch(self):
         xs = np.zeros((2, 3), dtype=np.float32)
         up = np.zeros((3, 2), dtype=np.float32)
@@ -512,6 +534,42 @@ class TestSpans:
         assert want.startswith(f"swish batch ({x.size},) has {len(bad)} non-finite elements, first ")
         executor_path(monkeypatch, path)
         assert message() == want
+
+    @pytest.mark.parametrize("path", EXECUTOR_PATHS)
+    @pytest.mark.parametrize(
+        "shape", [(3, 8, 160, 128), (7, 9, 127, 131), (11, 9, 127, 125)], ids=["one-span", "two-spans", "three-spans"]
+    )
+    def test_channels_last_same_bytes_in_memory_order(self, shape, path, monkeypatch):
+        """A channels-last input (see actkit.tensor) gives a channels-last result, the same
+        bytes as the C-order call's; so does a backward whose upstream is in the other order,
+        and a C-order input with a channels-last upstream gives a C-contiguous one."""
+        rs = np.random.RandomState(sum(shape))
+        x, up = (rs.uniform(-8.0, 8.0, shape).astype(np.float32) for _ in range(2))
+        x_cl, up_cl = tensor.channels_last(x), tensor.channels_last(up)
+        executor_path(monkeypatch, path)
+        for kind in ALL_KINDS:
+            calls = [
+                (activate_batch(kind, x), activate_batch(kind, x_cl)),
+                (activate_batch_backward(kind, x, up), activate_batch_backward(kind, x_cl, up_cl)),
+                (activate_batch_backward(kind, x, up), activate_batch_backward(kind, x_cl, up)),
+            ]
+            for want, got in calls:
+                assert want.flags.c_contiguous and tensor.is_channels_last(got)
+                assert got.tobytes() == want.tobytes()
+            mixed = activate_batch_backward(kind, x, up_cl)
+            assert mixed.flags.c_contiguous and mixed.tobytes() == calls[1][0].tobytes()
+
+    def test_channels_last_error_text_equals_c_order(self):
+        """A channels-last pre-activation's DomainError names the NCHW shape and the C-order
+        flat index, as the C-order array's does."""
+        x = np.ones((2, 8, 5, 6), dtype=np.float32)
+        x[0, 7, 0, 0], x[0, 0, 0, 1] = np.nan, -np.inf  # channels-last memory holds the nan first
+        messages = []
+        for xs in (x, tensor.channels_last(x)):
+            with pytest.raises(DomainError) as err:
+                activate_batch(ActivationKind.RELU, xs)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "relu batch (2, 8, 5, 6) has 2 non-finite elements, first -inf at flat index 1"
 
     def test_one_pool_per_large_call(self, pool_spy):
         """Each call of two or more spans opens one pool and ends it; one span opens none."""

@@ -745,6 +745,34 @@ class TestLossAndGradients:
             loss_and_gradients(model, batch, labels)
         assert str(got.value) == message and passes == []
 
+    def test_every_conv_reads_channels_last(self, monkeypatch):
+        """forward and loss_and_gradients make the C-order batch channels-last once, at the
+        stem, so every conv after it gets its input, and every conv backward its upstream,
+        channels-last: no layer pays a transposing copy. 16x16 images keep every stage at
+        2x2 or more, where the two orders differ."""
+        seen = []
+
+        def channels_last(a):  # NHWC memory in NCHW shape, and not also C-contiguous
+            return not a.flags.c_contiguous and a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+        def spy(fn, name):
+            def call(x, w, *args, **kw):
+                seen.append((name, channels_last(x), args[0] if name == "backward" else None))
+                return fn(x, w, *args, **kw)
+            return call
+
+        monkeypatch.setattr(modelspec, "conv2d_forward", spy(modelspec.conv2d_forward, "forward"))
+        monkeypatch.setattr(modelspec, "conv2d_backward", spy(modelspec.conv2d_backward, "backward"))
+        model = build_model(preset("mini-x3d"), Rng(8))
+        data = gen_synthetic_images(20, seed=9)
+        batch = np.ascontiguousarray(data.images[:, :, :16, :16])
+        forward(model, batch)
+        convs = len(seen)
+        loss_and_gradients(model, batch, data.labels)
+        assert convs == 12 and len(seen) == 36  # stem, 2 per block, 3 projections; each again in backward
+        assert all(last for _, last, _ in seen[1:convs] + seen[convs + 1 :])
+        assert all(channels_last(up) for name, _, up in seen if name == "backward")
+
     def test_gradient_keys_match_parameters(self):
         model = build_model(preset("mini-x3d"), Rng(8))
         rs = np.random.RandomState(89)

@@ -180,6 +180,33 @@ class TestHeInit:
             he_init((4, 0), 4, Rng(0))
 
 
+# The two memory orders the conv ops keep (see actkit.tensor).
+LAYOUTS = {"C": np.ascontiguousarray, "channels-last": tensor.channels_last}
+
+
+def assert_stored_as(got, x):
+    """got is stored as x is: channels-last, else C-contiguous."""
+    assert tensor.is_channels_last(got) if tensor.is_channels_last(x) else got.flags.c_contiguous
+
+
+def backward_in_every_order(x, w, up, stride, **kw):
+    """conv2d_backward of C-order x and upstream, after checking that every other pairing of
+    their layouts (channels-last x, upstream or both) gives the same bytes, grad_input stored
+    as x is and grad_weights and grad_bias C-contiguous."""
+    want = conv2d_backward(x, w, up, stride, **kw)
+    for to_x in LAYOUTS.values():
+        for to_up in LAYOUTS.values():
+            xs = to_x(x)
+            got = conv2d_backward(xs, w, to_up(up), stride, **kw)
+            assert [None if g is None else g.tobytes() for g in got] == [
+                None if g is None else g.tobytes() for g in want
+            ]
+            if got[0] is not None:
+                assert_stored_as(got[0], xs)
+            assert got[1].flags.c_contiguous and got[2].flags.c_contiguous
+    return want
+
+
 class TestConv2d:
     """'Same'-padded strided cross-correlation against a nested-loop oracle."""
 
@@ -228,7 +255,7 @@ class TestConv2d:
         def loss():
             return float(np.sum(conv2d_f64(x, w, b, stride) * up))
 
-        gx, gw, gb = conv2d_backward(x, w, up, stride=stride)
+        gx, gw, gb = backward_in_every_order(x, w, up, stride)
         assert rel_err(fd_grad(loss, x, 0.05), gx) < 1e-3
         assert rel_err(fd_grad(loss, w, 0.05), gw) < 1e-3
         assert rel_err(fd_grad(loss, b, 0.05), gb) < 1e-3
@@ -242,7 +269,7 @@ class TestConv2d:
         w = rs.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32)
         up = rs.uniform(-1, 1, (2, 4, -(-7 // stride), -(-5 // stride))).astype(np.float32)
         _, gw, gb = conv2d_backward(x, w, up, stride)
-        gx_none, gw_only, gb_only = conv2d_backward(x, w, up, stride, input_grad=False)
+        gx_none, gw_only, gb_only = backward_in_every_order(x, w, up, stride, input_grad=False)
         assert gx_none is None
         assert np.array_equal(gw_only, gw)
         assert np.array_equal(gb_only, gb)
@@ -254,7 +281,7 @@ class TestConv2d:
         x = rs.uniform(-1, 1, (2, 3, 7, 6)).astype(np.float32)
         w = rs.uniform(-1, 1, (4, 3, 1, 1)).astype(np.float32)
         up = rs.uniform(-1, 1, (2, 4, 4, 3)).astype(np.float32)
-        gx, _, _ = conv2d_backward(x, w, up, stride=2)
+        gx, _, _ = backward_in_every_order(x, w, up, stride=2)
         read = np.zeros(gx.shape, dtype=bool)
         read[:, :, ::2, ::2] = True
         assert np.all(gx[~read] == 0.0)
@@ -316,7 +343,7 @@ class TestConv2d:
         w = np.ones((4, 3, 3, 3), dtype=np.float32)
         out = conv2d_forward(x, w, np.zeros(4, dtype=np.float32), stride=2)
         assert out.shape == (0, 4, 4, 3)
-        gx, gw, gb = conv2d_backward(x, w, out, stride=2)
+        gx, gw, gb = backward_in_every_order(x, w, out, stride=2)
         assert gx.shape == x.shape
         assert np.array_equal(gw, np.zeros_like(w)) and np.array_equal(gb, np.zeros(4, dtype=np.float32))
 
@@ -349,7 +376,8 @@ class TestConvSlices:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_bit_identical_to_whole_batch(self, monkeypatch, k, stride, c, n, images_per_slice):
         """n = 7 in slices of at most 3 images is cut 2, 2, 3, so one slice is larger
-        than the others."""
+        than the others. A channels-last x gives a channels-last output, the same bytes
+        as the C-order call's."""
         rs = np.random.RandomState(1000 + 100 * k + 10 * stride + c)
         h, wid, o = 19, 17, 40
         x = rs.uniform(-1, 1, (n, c, h, wid)).astype(np.float32)
@@ -362,6 +390,11 @@ class TestConvSlices:
         assert got.shape == want.shape == (n, o, -(-h // stride), -(-wid // stride))
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
+        x_cl = tensor.channels_last(x)
+        assert tensor.is_channels_last(x_cl) == (n > 0)  # an empty array is C-contiguous too
+        got_cl = conv2d_forward(x_cl, w, b, stride)
+        assert_stored_as(got_cl, x_cl)
+        assert got_cl.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("n, limit_images, sizes", [(7, 3, [2, 2, 3]), (6, 3, [3, 3]), (5, 1, [1] * 5), (2, 9, [2])])
     def test_slices_balanced_under_limit(self, monkeypatch, n, limit_images, sizes):
@@ -448,6 +481,15 @@ class TestGlobalAvgPool:
         out = global_avg_pool(x)
         assert out.shape == (2, 3)
         assert np.allclose(out, x.mean(axis=(2, 3)))
+
+    def test_channels_last_input_same_bytes(self):
+        """The mean reads C-order memory whatever x's layout, so its summation order and bits
+        do not depend on it."""
+        x = np.random.RandomState(41).uniform(-1, 1, (4, 32, 9, 7)).astype(np.float32)
+        xs = tensor.channels_last(x)
+        assert tensor.is_channels_last(xs) and np.array_equal(xs, x)
+        assert np.shares_memory(tensor.channels_last(xs), xs)  # already channels-last: no copy
+        assert global_avg_pool(xs).tobytes() == global_avg_pool(x).tobytes()
 
     def test_gradient_matches_fd(self):
         rs = np.random.RandomState(43)
