@@ -68,19 +68,21 @@ def _chunk_pool():
 
 
 def _cut(n: int, size: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of n items cut into n // size near-equal chunks of whole items."""
-    k = n // size
+    """(lo, hi) bounds of n items cut into max(1, n // size) near-equal chunks of whole items."""
+    k = max(1, n // size)
     return [(n * j // k, n * (j + 1) // k) for j in range(k)]
 
 
 def _run_chunks(fn, bounds: list[tuple[int, int]]) -> list:
-    """[fn(lo, hi) for lo, hi in bounds], run by the caller's thread and the threads of its
-    _chunk_pool, if it gets one; a call from inside a running chunk runs on its own thread.
+    """[fn(lo, hi) for lo, hi in bounds]: one chunk inline; several by the caller's thread and the
+    threads of its _chunk_pool, if it gets one; a call from inside a running chunk on its own thread.
 
     The threads take chunk indices in order from one shared iterator, each under the
     caller's numpy error state. Once a chunk raises, no new chunk starts; the running
     ones finish, and the lowest failing index's exception is re-raised as it is.
     """
+    if len(bounds) < 2:  # no pool, and OpenBLAS's thread count left alone
+        return [fn(lo, hi) for lo, hi in bounds]
     err = np.geterr()
     results = [None] * len(bounds)
     failed: dict[int, BaseException] = {}

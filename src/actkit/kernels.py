@@ -1,7 +1,8 @@
 """The five activation functions: scalar and batched forward, derivatives, gap analysis.
 
 Each kind has one forward and one derivative, in-place ops into a given output block. A call
-makes one full-size buffer, its result, and fills it block by block, with temporaries per block.
+makes one full-size buffer, its result, in its input's memory order, and fills it block by block
+in that order, with temporaries per block; an operand stored otherwise is first copied into it.
 Public kernels compute in 32-bit floats. The forwards keep a float64 input in float64, so the
 approximation analyzer runs its grid scan in 64-bit and the reported gap is trustworthy at 1e-7.
 """
@@ -15,7 +16,6 @@ import numpy as np
 
 from .chunks import _cut, _run_chunks
 from .errors import DomainError, ShapeError
-from .tensor import is_channels_last
 
 MAX_GRID_POINTS = 10**8  # bounds max_approx_error's run time (~1 s); it holds a few blocks at a time
 # Elements per block: one block's input, output and temporaries fit one core's 2 MiB L2.
@@ -150,17 +150,22 @@ def activate_derivative(kind: ActivationKind, x: float) -> float:
 
 
 def _blocked(kind: ActivationKind, given: np.ndarray, up: np.ndarray | None = None) -> np.ndarray:
-    """kind's forward of given in float32 (up None) or up * f'(given), block by block into one
-    result in given's memory order (channels-last, else C-contiguous; see actkit.tensor); two
-    or more spans run on every core. Each block is checked for finiteness (forward, naming the
-    element as given, by its C-order flat index) or multiplied by up (backward) while in cache."""
+    """kind's forward of given in float32 (up None) or up * f'(given), block by block in memory
+    order into np.empty_like(given); two or more spans run on every core. Each block is checked for
+    finiteness (forward, naming the element as given, by its C-order flat index) or multiplied by
+    up (backward) while in cache."""
     with np.errstate(over="ignore"):  # a value beyond float32 casts to inf, which the forward rejects
         arr = np.asarray(given, dtype=np.float32)
-    order = (0, 2, 3, 1) if is_channels_last(arr) else tuple(range(arr.ndim))
-    mem = np.ascontiguousarray(arr.transpose(order))  # arr's elements in memory order
-    out = np.empty_like(mem)
-    xs, res = mem.reshape(-1), out.reshape(-1)
-    ups = None if up is None else np.ascontiguousarray(up.transpose(order)).reshape(-1)
+    out = np.empty_like(arr)
+
+    def walk(a: np.ndarray) -> np.ndarray:  # a flat in out's memory order: a view if stored as out is
+        if a.strides != out.strides:
+            copy = np.empty_like(out)
+            copy[...] = a
+            a = copy
+        return a.ravel(order="K")
+
+    xs, res, ups = walk(arr), walk(out), None if up is None else walk(up)
     fn = _FORWARD[kind] if up is None else _DERIV[kind]
 
     def span(lo: int, hi: int) -> None:
@@ -177,11 +182,8 @@ def _blocked(kind: ActivationKind, given: np.ndarray, up: np.ndarray | None = No
                 r *= ups[a : a + _BLOCK]
 
     spans = [(lo * _BLOCK, min(hi * _BLOCK, xs.size)) for lo, hi in _cut(-(-xs.size // _BLOCK), _SPAN_BLOCKS)]
-    if len(spans) < 2:
-        span(0, xs.size)
-    else:
-        _run_chunks(span, spans)
-    return out.transpose(np.argsort(order))
+    _run_chunks(span, spans)
+    return out
 
 
 def activate_batch(kind: ActivationKind, xs: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .errors import ActkitError, ConfigError, DomainError
 from .kernels import ActivationKind, activate_batch, activate_batch_backward
 from .tensor import (
     Rng,
+    _as_real,
     channels_last,
     class_labels,
     conv2d_backward,
@@ -383,37 +384,35 @@ def _forward_internal(model: Model, batch: np.ndarray, record: bool):
     return logits, (x, z_stem, blocks, feats, cur.shape)
 
 
-# forward runs a batch of n >= 64 images as n // 32 near-equal chunks, and loss_and_gradients
-# a batch of n >= 32 as n // 16. Each chunk holds at least this many images, so every conv
-# GEMM has enough rows to stay out of OpenBLAS's small-matrix kernels (another summation
-# order): a chunk's bits never depend on the core count.
+# forward cuts a batch of n images into max(1, n // 32) near-equal chunks, loss_and_gradients into
+# max(1, n // 16). Each of several chunks holds at least this many images, so every conv GEMM stays
+# out of OpenBLAS's small-matrix kernels (another summation order) whatever the core count.
 _FORWARD_CHUNK, _STEP_CHUNK = 32, 16
 
 
 def _run_image_chunks(fn, bounds: list[tuple[int, int]]) -> list:
-    """_run_chunks, with a chunk's images in front of its ActkitError: "images 32-63 of 96: ..."."""
+    """_run_chunks, with a chunk's images in front of its ActkitError if there are several chunks:
+    "images 32-63 of 96: ..."."""
     def run(lo: int, hi: int):
         try:
             return fn(lo, hi)
         except ActkitError as exc:
             raise type(exc)(f"images {lo}-{hi - 1} of {bounds[-1][1]}: {exc}") from exc
-    return _run_chunks(run, bounds)
+    return _run_chunks(run if len(bounds) > 1 else fn, bounds)
 
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Run the model on an NCHW batch; returns (N, num_classes) logits. Pure.
 
-    A batch of n >= 64 images always runs as n // 32 near-equal chunks of whole images
-    on every core (_run_image_chunks), so its peak memory is a few chunks', not the batch's,
-    and the logits are the same bits as one whole-batch pass. The first chunk (in order)
-    to raise an ActkitError re-raises it with its images in front, e.g. "images 32-63 of
-    96: stem.act: ..."; any other exception propagates as it is. A smaller batch runs in
-    one pass.
+    The batch runs as max(1, n // 32) near-equal chunks of whole images (_run_image_chunks),
+    each with its own channels-last copy: under 64 images one chunk inline, from 64 on every
+    core, so its peak memory is a few chunks', not the batch's. The logits are the same bits as
+    one whole-batch pass. Of several chunks, the first (in order) to raise an ActkitError
+    re-raises it with its images in front, e.g. "images 32-63 of 96: stem.act: ..."; any other
+    exception propagates as it is.
     """
-    batch = np.asarray(batch)
-    bounds = _cut(batch.shape[0] if batch.ndim == 4 else 0, _FORWARD_CHUNK)
-    if len(bounds) < 2:
-        return _forward_internal(model, batch, record=False)[0]
+    batch = _as_real(batch, 4, "conv input")
+    bounds = _cut(batch.shape[0], _FORWARD_CHUNK)
     chunks = _run_image_chunks(lambda lo, hi: _forward_internal(model, batch[lo:hi], record=False)[0], bounds)
     return np.concatenate(chunks)
 
@@ -421,19 +420,16 @@ def forward(model: Model, batch: np.ndarray) -> np.ndarray:
 def loss_and_gradients(
     model: Model, batch: np.ndarray, labels: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy loss and parameter gradients for one batch.
-
-    A batch of n >= 32 images, once its labels pass class_labels, runs as n // 16 near-equal
-    chunks on every core (_run_image_chunks, as in forward), summed by chunk size in chunk order:
-    the same bits for any core count, within float32 rounding of one whole-batch pass. A
-    smaller batch runs in one pass.
-    """
-    batch = np.asarray(batch)
-    n = batch.shape[0] if batch.ndim == 4 else 0
-    bounds = _cut(n, _STEP_CHUNK)
-    if len(bounds) < 2:
-        return _loss_and_gradients_pass(model, batch, labels)
+    """Mean cross-entropy loss and parameter gradients for a batch of one image or more. Once its
+    labels pass class_labels, it runs as max(1, n // 16) near-equal chunks (_run_image_chunks, as
+    in forward), summed by chunk size in chunk order: the same bits for any core count; under 32
+    images the one-pass result bit for bit, from 32 within float32 rounding of one whole-batch pass."""
+    batch = _as_real(batch, 4, "conv input")
+    n = batch.shape[0]
+    if n == 0:
+        raise DomainError(f"loss needs at least one image, got batch shape {batch.shape}")
     labels = class_labels(labels, n, model.spec.num_classes)
+    bounds = _cut(n, _STEP_CHUNK)
     parts = _run_image_chunks(lambda lo, hi: _loss_and_gradients_pass(model, batch[lo:hi], labels[lo:hi]), bounds)
     loss, grads = 0.0, {}
     for (lo, hi), (part_loss, part_grads) in zip(bounds, parts):
@@ -441,10 +437,8 @@ def loss_and_gradients(
         loss += share * part_loss
         for name, g in part_grads.items():
             g *= np.float32(share)
-            if name in grads:
+            if grads.setdefault(name, g) is not g:  # later chunks add into the first chunk's array
                 grads[name] += g
-            else:
-                grads[name] = g
     return loss, grads
 
 

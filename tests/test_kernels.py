@@ -396,17 +396,23 @@ class TestValidation:
         out = activate_batch(ActivationKind.SWISH, xs)
         assert out.shape == xs.shape
         assert out.dtype == np.float32
+        # a 0-d array and a Python float give 0-d results, the bytes of the 1-element calls
+        for kind in ALL_KINDS:
+            want = activate_batch(kind, np.float32([2.0])), activate_batch_backward(kind, np.float32([2.0]), [0.5])
+            for x, up in ((np.float32(2.0), np.float32(0.5)), (2.0, 0.5)):
+                for got, one in zip((activate_batch(kind, x), activate_batch_backward(kind, x, up)), want):
+                    assert got.shape == () and got.dtype == np.float32 and got.tobytes() == one.tobytes()
 
 
 def block_inputs(block: int):
-    """(x, upstream) pairs: sizes 0, 1 and 3 blocks plus a ragged 5, and a 4-D shape, with
-    every knot present where there is room."""
+    """(x, upstream) pairs: sizes 0, 1 and 3 blocks plus a ragged 5, a 0-d array and a 4-D
+    shape, with every knot present where there is room."""
     rs = np.random.RandomState(31)
-    for shape in [(0,), (1,), (3 * block + 5,), (2, 3, 5, 7)]:
-        x = rs.uniform(-8.0, 8.0, size=shape).astype(np.float32)
+    for shape in [(0,), (1,), (3 * block + 5,), (), (2, 3, 5, 7)]:
+        x = np.asarray(rs.uniform(-8.0, 8.0, size=shape), dtype=np.float32)
         knots = np.array([-3.0, 0.0, 3.0, 6.0], dtype=np.float32)[: x.size]
         x.flat[: knots.size] = knots
-        yield x, rs.uniform(-2.0, 2.0, size=shape).astype(np.float32)
+        yield x, np.asarray(rs.uniform(-2.0, 2.0, size=shape), dtype=np.float32)
 
 
 class TestBlocks:
@@ -540,24 +546,41 @@ class TestSpans:
         "shape", [(3, 8, 160, 128), (7, 9, 127, 131), (11, 9, 127, 125)], ids=["one-span", "two-spans", "three-spans"]
     )
     def test_channels_last_same_bytes_in_memory_order(self, shape, path, monkeypatch):
-        """A channels-last input (see actkit.tensor) gives a channels-last result, the same
-        bytes as the C-order call's; so does a backward whose upstream is in the other order,
-        and a C-order input with a channels-last upstream gives a C-contiguous one."""
+        """A channels-last input (see actkit.tensor), like a Fortran-order, reversed-stride or
+        strided-slice one, gives its result stored as np.empty_like(x) stores it, the same bytes
+        as the C-order call's; so does a backward whose upstream is in another layout, either way
+        round. A broadcast view gives the bytes of its C-order copy."""
         rs = np.random.RandomState(sum(shape))
         x, up = (rs.uniform(-8.0, 8.0, shape).astype(np.float32) for _ in range(2))
-        x_cl, up_cl = tensor.channels_last(x), tensor.channels_last(up)
+        layouts = {
+            "channels-last": tensor.channels_last,
+            "fortran": np.asfortranarray,
+            "reversed": lambda a: np.ascontiguousarray(a[::-1, :, ::-1])[::-1, :, ::-1],
+            "strided-slice": lambda a: np.repeat(a, 2, axis=3)[:, :, :, ::2],
+        }
         executor_path(monkeypatch, path)
         for kind in ALL_KINDS:
-            calls = [
-                (activate_batch(kind, x), activate_batch(kind, x_cl)),
-                (activate_batch_backward(kind, x, up), activate_batch_backward(kind, x_cl, up_cl)),
-                (activate_batch_backward(kind, x, up), activate_batch_backward(kind, x_cl, up)),
-            ]
-            for want, got in calls:
-                assert want.flags.c_contiguous and tensor.is_channels_last(got)
-                assert got.tobytes() == want.tobytes()
-            mixed = activate_batch_backward(kind, x, up_cl)
-            assert mixed.flags.c_contiguous and mixed.tobytes() == calls[1][0].tobytes()
+            fwd, bwd = activate_batch(kind, x), activate_batch_backward(kind, x, up)
+            assert fwd.flags.c_contiguous and bwd.flags.c_contiguous
+            for name, layout in layouts.items():
+                x_l, up_l = layout(x), layout(up)
+                assert np.array_equal(x_l, x) and (name != "channels-last" or tensor.is_channels_last(x_l))
+                calls = [
+                    (x_l, fwd, activate_batch(kind, x_l)),
+                    (x_l, bwd, activate_batch_backward(kind, x_l, up_l)),
+                    (x_l, bwd, activate_batch_backward(kind, x_l, up)),
+                    (x, bwd, activate_batch_backward(kind, x, up_l)),
+                ]
+                for given, want, got in calls:
+                    assert got.strides == np.empty_like(given).strides, name
+                    assert got.tobytes() == want.tobytes(), name
+            # a broadcast view (stride 0), as input or upstream, gives the bytes of its C-order copy
+            bc = np.broadcast_to(x[:, :1], shape)
+            bc_c = np.ascontiguousarray(bc)
+            assert activate_batch(kind, bc).tobytes() == activate_batch(kind, bc_c).tobytes()
+            for got, want in ((bc, bc_c), (x, x)):
+                assert (activate_batch_backward(kind, got, bc).tobytes()
+                        == activate_batch_backward(kind, want, bc_c).tobytes())
 
     def test_channels_last_error_text_equals_c_order(self):
         """A channels-last pre-activation's DomainError names the NCHW shape and the C-order

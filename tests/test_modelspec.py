@@ -586,6 +586,21 @@ class TestChunkedForward:
         assert forward(model, batch).tobytes() == want
         assert len(pool_spy.pools) == 1 and len(pool_spy.submits) == 2
 
+    def test_one_chunk_runs_inline(self, model, images, pool_spy, monkeypatch):
+        """forward under 64 images and loss_and_gradients under 32 are one chunk each: run on
+        the caller's thread, with no pool and no submit, though two cores are free."""
+        threads = []
+
+        def spy(kind, z):
+            threads.append(threading.current_thread())
+            return activate_batch(kind, z)
+
+        monkeypatch.setattr(modelspec, "activate_batch", spy)
+        forward(model, images[:63])
+        loss_and_gradients(model, images[:31], np.arange(31) % 10)
+        assert pool_spy.pools == [] and pool_spy.submits == []
+        assert len(threads) == 2 * 9 and set(threads) == {threading.current_thread()}
+
     def test_nested_run_chunks_runs_on_its_chunks_thread(self, monkeypatch):
         """Each of two outer chunks, one per thread, runs three inner chunks and then waits for
         the other's to finish: an inner call that waited for the busy pool never would."""
@@ -744,6 +759,18 @@ class TestLossAndGradients:
         with pytest.raises(error) as got:
             loss_and_gradients(model, batch, labels)
         assert str(got.value) == message and passes == []
+
+    def test_zero_images_rejected_before_any_work(self, monkeypatch):
+        """A loss over no images is undefined: a DomainError names the batch shape before any
+        pass runs. forward on no images returns no logits."""
+        model = build_model(preset("mini-x3d"), Rng(8))
+        empty = np.zeros((0, 3, 32, 32), dtype=np.float32)
+        assert forward(model, empty).shape == (0, 10)
+        passes = []
+        monkeypatch.setattr(modelspec, "_forward_internal", lambda *args, **kw: passes.append(args))
+        with pytest.raises(actkit.DomainError) as got:
+            loss_and_gradients(model, empty, np.zeros(0))
+        assert str(got.value) == "loss needs at least one image, got batch shape (0, 3, 32, 32)" and passes == []
 
     def test_every_conv_reads_channels_last(self, monkeypatch):
         """forward and loss_and_gradients make the C-order batch channels-last once, at the
