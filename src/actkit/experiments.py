@@ -54,6 +54,13 @@ class Hyperparams(_Record):
     batch_size: Annotated[int, 1] = 32
     epochs: Annotated[int, 1] = 5
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for key, ok, rule in (("lr", self.lr > 0, "> 0"), ("momentum", 0 <= self.momentum < 1, "in [0, 1)")):
+            if not ok:  # a step that ascends, or a velocity that never decays
+                got = getattr(self, key)
+                raise ConfigError(f"malformed {key!r} in Hyperparams: expected a number {rule}, got {got!r}")
+
 
 @dataclass(frozen=True)
 class DataConfig(_Record):
@@ -133,7 +140,9 @@ def param_hash(model: Model) -> str:
 
 
 def load_datasets(cfg: DataConfig) -> tuple[ImageDataset, ImageDataset]:
-    """Materialize (train, test) per the config; pure function of the config."""
+    """Materialize (train, test) per the config; pure function of the config. A CIFAR size below
+    its batch files' image count takes a stratified subset, an equal one the files in their order,
+    and a larger one raises DomainError."""
     if cfg.source == "synthetic-images":
         return (
             gen_synthetic_images(cfg.train_size, seed=cfg.subset_seed),
@@ -147,6 +156,9 @@ def load_datasets(cfg: DataConfig) -> tuple[ImageDataset, ImageDataset]:
         raise DomainError(f"missing CIFAR-10 batch files: {', '.join(missing)}")
     train = load_cifar10_binary(train_paths)
     test = load_cifar10_binary(test_paths)
+    for key, size, ds in (("train_size", cfg.train_size, train), ("test_size", cfg.test_size, test)):
+        if size > len(ds):
+            raise DomainError(f"{key} {size} exceeds the {len(ds)} images in its batch files")
     if cfg.train_size < len(train):
         train = subset(train, cfg.train_size, seed=cfg.subset_seed)
     if cfg.test_size < len(test):

@@ -25,7 +25,6 @@ from .kernels import ActivationKind, activate_batch, activate_batch_backward
 from .tensor import (
     Rng,
     _as_real,
-    channels_last,
     class_labels,
     conv2d_backward,
     conv2d_forward,
@@ -357,15 +356,15 @@ def _activate_at(site_id: str, kind: ActivationKind, z: np.ndarray) -> np.ndarra
 
 
 def _forward_internal(model: Model, batch: np.ndarray, record: bool):
-    """Logits plus what backward reads: the channels-last batch, the stem pre-activation and one
-    (prefix, blk, x_in, z1, a1, s) record per block (None, None and [] unless record), pooled
-    features, pre-pool shape. The one layout change is here: every activation is channels-last."""
+    """Logits plus what backward reads: the batch, the stem pre-activation and one (prefix, blk,
+    x_in, z1, a1, s) record per block (None, None and [] unless record), pooled features, pre-pool
+    shape. The stem conv reads the batch as given; every conv output, and so every activation
+    after it, is channels-last (see actkit.tensor)."""
     p = model.params
-    x = channels_last(batch)
-    z_stem = conv2d_forward(x, p["stem.w"], p["stem.b"], stride=1)
+    z_stem = conv2d_forward(batch, p["stem.w"], p["stem.b"], stride=1)
     cur = _activate_at("stem.act", model.spec.stem_act, z_stem)
     if not record:
-        x = z_stem = None
+        batch = z_stem = None
     blocks = []
     for _, prefix, blk in _blocks(model.spec):
         x_in = cur
@@ -381,7 +380,7 @@ def _forward_internal(model: Model, batch: np.ndarray, record: bool):
             blocks.append((prefix, blk, x_in, z1, a1, s))
     feats = global_avg_pool(cur)
     logits = dense_forward(feats, p["head.w"], p["head.b"])
-    return logits, (x, z_stem, blocks, feats, cur.shape)
+    return logits, (batch, z_stem, blocks, feats, cur.shape)
 
 
 # forward cuts a batch of n images into max(1, n // 32) near-equal chunks, loss_and_gradients into
@@ -404,12 +403,11 @@ def _run_image_chunks(fn, bounds: list[tuple[int, int]]) -> list:
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Run the model on an NCHW batch; returns (N, num_classes) logits. Pure.
 
-    The batch runs as max(1, n // 32) near-equal chunks of whole images (_run_image_chunks),
-    each with its own channels-last copy: under 64 images one chunk inline, from 64 on every
-    core, so its peak memory is a few chunks', not the batch's. The logits are the same bits as
-    one whole-batch pass. Of several chunks, the first (in order) to raise an ActkitError
-    re-raises it with its images in front, e.g. "images 32-63 of 96: stem.act: ..."; any other
-    exception propagates as it is.
+    The batch runs as max(1, n // 32) near-equal chunks of whole images (_run_image_chunks):
+    under 64 images one chunk inline, from 64 on every core, so its peak memory is a few
+    chunks', not the batch's. The logits are the same bits as one whole-batch pass. Of
+    several chunks, the first (in order) to raise an ActkitError re-raises it with its images
+    in front, e.g. "images 32-63 of 96: stem.act: ..."; any other exception propagates as it is.
     """
     batch = _as_real(batch, 4, "conv input")
     bounds = _cut(batch.shape[0], _FORWARD_CHUNK)

@@ -1,10 +1,11 @@
 """Dense float32 tensors, a SplitMix64 PRNG, and the layer ops for staged CNNs.
 
-Tensors are float32 numpy arrays of rank <= 4 (NCHW shape for images), C-contiguous or, for
-images, channels-last: the transpose(0, 3, 1, 2) view of a C-contiguous NHWC array. The conv
-ops and activation kernels return results in their input's memory order, which never changes a
-value; the other ops return C-contiguous arrays. Every op here is pure: inputs are never
-mutated, outputs are fresh arrays, and the same inputs produce bit-identical outputs.
+Tensors are float32 numpy arrays of rank <= 4, NCHW shape for images. The ops take operands in
+any memory order, and one layout rule holds for their results: a 4-D result is channels-last,
+the transpose(0, 3, 1, 2) view of a C-contiguous NHWC array, and every other result is
+C-contiguous. No op's values depend on its operands' layout: every layout gets the bits of the
+C-order call. Every op here is pure: inputs are never mutated, outputs are fresh arrays, and
+the same inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -97,22 +98,14 @@ def he_init(shape: tuple[int, ...], fan_in: int, rng: Rng) -> np.ndarray:
     return ((2.0 * u - 1.0) * bound).astype(REAL).reshape(shape)
 
 
-def is_channels_last(x: np.ndarray) -> bool:
-    """Whether x is rank 4 and channels-last but not also C-contiguous (as when C == 1 or H == W == 1)."""
-    return x.ndim == 4 and not x.flags.c_contiguous and x.transpose(0, 2, 3, 1).flags.c_contiguous
-
-
 def _as_real(x: np.ndarray, rank: int, what: str) -> np.ndarray:
-    """float32 x of the given rank (else a ShapeError), C-contiguous unless it is channels-last."""
+    """float32 x of the given rank (else a ShapeError). A 4-D x keeps its layout, which the 4-D ops
+    read with the C-order bits; other ranks come C-contiguous, since a GEMM's or a row sum's
+    summation order follows its operands' memory."""
     arr = np.asarray(x, dtype=REAL)
     if arr.ndim != rank:
         raise ShapeError(f"{what} must have rank {rank}, got shape {arr.shape}")
-    return arr if is_channels_last(arr) else np.ascontiguousarray(arr)
-
-
-def channels_last(x: np.ndarray) -> np.ndarray:
-    """float32 NCHW x stored channels-last, copied only if it is not; a ShapeError unless rank 4."""
-    return np.ascontiguousarray(_as_real(x, 4, "conv input").transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    return arr if rank == 4 else np.ascontiguousarray(arr)
 
 
 # Bytes of patch matrix that conv2d_forward builds per batch slice: about one core's L2.
@@ -144,7 +137,7 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride:
     """Cross-correlation with 'same' zero padding, then striding.
 
     x is NCHW, weights are (out_ch, in_ch, K, K) with K odd, bias is (out_ch,).
-    Output spatial dims are ceil(H/stride) x ceil(W/stride), in x's memory order.
+    Output spatial dims are ceil(H/stride) x ceil(W/stride); the output is channels-last.
 
     The forward is one GEMM per batch slice: the batch is cut into the fewest
     slices of whole images whose channels-innermost (rows, K*K*C) patch matrix
@@ -154,8 +147,9 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride:
     same K*K*C columns as in one whole-batch GEMM, bit for bit. Near-equal slices
     each hold about half the limit or more, which keeps them clear of the
     small-matrix kernels (another summation order) that BLAS may pick for tiny
-    GEMMs; a lone last image could fall into them. A channels-last x and output are
-    the NHWC arrays the GEMMs read and write, with no transposing copy.
+    GEMMs; a lone last image could fall into them. The output is the NHWC array the
+    GEMMs write; the patches are copied from x in any layout, with no transposing copy
+    of a channels-last x, and the same bits for every layout.
     """
     x, w, ho, wo = _conv_operands(x, weights, stride)
     b = _as_real(bias, 1, "conv bias")
@@ -163,7 +157,7 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride:
     o, _, k, _ = w.shape
     if b.shape[0] != o:
         raise ShapeError(f"bias length {b.shape[0]} != output channels {o}")
-    x_nhwc = x.transpose(0, 2, 3, 1)  # C-contiguous if x is channels-last
+    x_nhwc = x.transpose(0, 2, 3, 1)
     w_mat = w.transpose(0, 2, 3, 1).reshape(o, -1).T
     out = np.empty((n, ho, wo, o), dtype=REAL)
     per_slice = max(1, _SLICE_PATCH_BYTES // (ho * wo * k * k * c * out.itemsize))
@@ -173,7 +167,7 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride:
         out_rows = out[lo:hi].reshape(-1, o)
         np.matmul(_patches(x_nhwc[lo:hi], k, stride), w_mat, out=out_rows)
         out_rows += b
-    return np.asarray(out.transpose(0, 3, 1, 2), order="K" if is_channels_last(x) else "C")
+    return out.transpose(0, 3, 1, 2)
 
 
 def _patches(x_nhwc: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -207,8 +201,8 @@ def conv2d_backward(
     (py + pad, px + pad) mod stride. So each phase is a stride-1 correlation of the
     upstream with that sub-kernel, rotated 180 degrees with its in/out channels
     swapped, written to grad_input[:, :, py::stride, px::stride]. A phase with no
-    taps (K < stride) gets zeros. grad_input is in x's memory order, and grad_bias
-    sums the upstream in C order, whatever its layout. With input_grad=False
+    taps (K < stride) gets zeros. grad_input is channels-last, and grad_bias sums
+    the upstream in C order, whatever its layout. With input_grad=False
     grad_input is None and not computed. It rejects exactly the x, weights and
     stride that conv2d_forward rejects, with the same errors, and an upstream not
     shaped like that forward's output.
@@ -221,7 +215,9 @@ def conv2d_backward(
         raise ShapeError(f"upstream shape {up.shape} != forward output shape {(n, o, ho, wo)}")
 
     up_nhwc = up.transpose(0, 2, 3, 1)
-    grad_b = np.ascontiguousarray(up).sum(axis=(0, 2, 3))  # the summation order of C-order memory
+    # A C-order copy's sum: summing the NHWC rows skips the copy but takes ~2x as long over a mini-x3d
+    # step (at 8-16 channels up to ~4x; see CHANGES.md), and would change grad_b's bits.
+    grad_b = np.ascontiguousarray(up).sum(axis=(0, 2, 3))
     grad_w = up_nhwc.reshape(-1, o).T @ _patches(x.transpose(0, 2, 3, 1), k, stride)  # patches(x) freed here
     grad_w = np.ascontiguousarray(grad_w.reshape(o, k, k, c).transpose(0, 3, 1, 2))
     if not input_grad:
@@ -247,7 +243,7 @@ def conv2d_backward(
             patches = _windows(up_pad, e + qy - ty + 1, e + qx - tx + 1, jy, jx, ty, tx, 1)
             w_flip = w_sub[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(ty * tx * o, c)
             grad_x[:, py::stride, px::stride] = (patches @ w_flip).reshape(n, jy, jx, c)
-    return np.asarray(grad_x.transpose(0, 3, 1, 2), order="K" if is_channels_last(x) else "C"), grad_w, grad_b
+    return grad_x.transpose(0, 3, 1, 2), grad_w, grad_b
 
 
 def _dense_operands(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,19 +282,21 @@ def dense_backward(
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Mean over the spatial dims: NCHW -> (N, C)."""
-    x = np.ascontiguousarray(_as_real(x, 4, "pool input"))  # C order, whose summation order sets the bits
+    """Mean over the spatial dims: NCHW -> (N, C), summed in C order whatever x's layout."""
+    # A C-order copy's mean: the NHWC mean saves only ~10-20 us a call, and changes bits.
+    x = np.ascontiguousarray(_as_real(x, 4, "pool input"))
     return np.ascontiguousarray(x.mean(axis=(2, 3), dtype=REAL))
 
 
 def global_avg_pool_backward(upstream: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Spread each (N, C) gradient uniformly over height x width positions."""
+    """Spread each (N, C) gradient uniformly over height x width positions, channels-last."""
     up = _as_real(upstream, 2, "pool upstream")
     if height < 1 or width < 1:
         raise ShapeError(f"bad spatial dims {height}x{width}")
     scale = REAL(1.0 / (height * width))
     n, c = up.shape
-    return np.ascontiguousarray(np.broadcast_to((up * scale)[:, :, None, None], (n, c, height, width)))
+    grad = np.ascontiguousarray(np.broadcast_to((up * scale)[:, None, None, :], (n, height, width, c)))
+    return grad.transpose(0, 3, 1, 2)
 
 
 def check_integer_labels(labels: np.ndarray, what: str, unit: str) -> None:

@@ -28,6 +28,7 @@ from actkit import (
     evaluate,
     forward,
     gen_synthetic_images,
+    load_cifar10_binary,
     load_datasets,
     param_hash,
     preset,
@@ -90,8 +91,13 @@ class TestConfigValidation:
         [
             ("lr", "x"),
             ("lr", float("nan")),
+            ("lr", -0.5),
+            ("lr", 0),
             ("momentum", True),
             ("momentum", float("inf")),
+            ("momentum", 1.5),
+            ("momentum", 1.0),
+            ("momentum", -0.1),
             ("epochs", True),
             ("epochs", 1.0),
             ("batch_size", "32"),
@@ -173,6 +179,8 @@ class TestConfigValidation:
                 json.loads('{"lr": 1' + "0" * 400 + "}"),
                 f"malformed 'lr' in Hyperparams: expected a finite number, got {10**400!r}",
             ),
+            (Hyperparams, {"lr": -0.5}, "malformed 'lr' in Hyperparams: expected a number > 0, got -0.5"),
+            (Hyperparams, {"momentum": 1}, "malformed 'momentum' in Hyperparams: expected a number in [0, 1), got 1"),
         ],
         ids=[
             "data-dir-int",
@@ -183,6 +191,8 @@ class TestConfigValidation:
             "selector-typo",
             "block-kind-typo",
             "lr-past-float-range",
+            "lr-negative",
+            "momentum-one",
         ],
     )
     def test_constructor_checks_fields_as_the_reader_does(self, cls, doc, message):
@@ -401,6 +411,32 @@ class TestLoadDatasets:
     def test_train_and_test_differ(self):
         train, test = load_datasets(DataConfig(source="synthetic-images", train_size=30, test_size=30))
         assert not np.array_equal(train.images, test.images)
+
+    def test_cifar_size_beyond_files_rejected(self, tmp_path):
+        """Six fake batch files of 20 records hold 100 train and 20 test images. A size above
+        that count raises before any training, naming both numbers; a size equal to it loads
+        the files as they are, in their order, with no subset."""
+        rs = np.random.RandomState(3)
+        for name in experiments.CIFAR_TRAIN_FILES + experiments.CIFAR_TEST_FILES:
+            records = rs.randint(0, 256, (20, 3073)).astype(np.uint8)
+            records[:, 0] = np.arange(20) % 10
+            (tmp_path / name).write_bytes(records.tobytes())
+
+        def load(train_size, test_size):
+            cfg = DataConfig("cifar10-binary", train_size, test_size, data_dir=str(tmp_path))
+            return load_datasets(cfg)
+
+        for sizes, message in (
+            ((101, 20), "train_size 101 exceeds the 100 images in its batch files"),
+            ((100, 21), "test_size 21 exceeds the 20 images in its batch files"),
+        ):
+            with pytest.raises(DomainError) as err:
+                load(*sizes)
+            assert str(err.value) == message
+        train, test = load(100, 20)
+        for got, files in ((train, experiments.CIFAR_TRAIN_FILES), (test, experiments.CIFAR_TEST_FILES)):
+            want = load_cifar10_binary([tmp_path / name for name in files])
+            assert np.array_equal(got.images, want.images) and np.array_equal(got.labels, want.labels)
 
 
 class TestEvaluate:

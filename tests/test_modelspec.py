@@ -773,10 +773,10 @@ class TestLossAndGradients:
         assert str(got.value) == "loss needs at least one image, got batch shape (0, 3, 32, 32)" and passes == []
 
     def test_every_conv_reads_channels_last(self, monkeypatch):
-        """forward and loss_and_gradients make the C-order batch channels-last once, at the
-        stem, so every conv after it gets its input, and every conv backward its upstream,
-        channels-last: no layer pays a transposing copy. 16x16 images keep every stage at
-        2x2 or more, where the two orders differ."""
+        """The stem conv reads the C-order batch as given, with no copy, in both directions.
+        Every conv output is channels-last, so every conv after the stem gets its input, and
+        every conv backward its upstream, channels-last: no layer pays a transposing copy.
+        16x16 images keep every stage at 2x2 or more, where the two orders differ."""
         seen = []
 
         def channels_last(a):  # NHWC memory in NCHW shape, and not also C-contiguous
@@ -784,7 +784,7 @@ class TestLossAndGradients:
 
         def spy(fn, name):
             def call(x, w, *args, **kw):
-                seen.append((name, channels_last(x), args[0] if name == "backward" else None))
+                seen.append((name, x, args[0] if name == "backward" else None))
                 return fn(x, w, *args, **kw)
             return call
 
@@ -797,8 +797,39 @@ class TestLossAndGradients:
         convs = len(seen)
         loss_and_gradients(model, batch, data.labels)
         assert convs == 12 and len(seen) == 36  # stem, 2 per block, 3 projections; each again in backward
-        assert all(last for _, last, _ in seen[1:convs] + seen[convs + 1 :])
+        stem = [seen[0], seen[convs], seen[-1]]  # forward's, then loss_and_gradients' forward and backward
+        assert [name for name, _, _ in stem] == ["forward", "forward", "backward"]
+        assert all(x.flags.c_contiguous and np.shares_memory(x, batch) for _, x, _ in stem)
+        assert all(channels_last(x) for _, x, _ in seen[1:convs] + seen[convs + 1 : -1])
         assert all(channels_last(up) for name, _, up in seen if name == "backward")
+
+    @pytest.mark.parametrize("blocks, n", [((1, 1, 1, 1), 3), ((2, 1, 2, 1), 40)], ids=["one-pass", "two-chunks"])
+    def test_whole_net_gradients_match_finite_differences(self, blocks, n):
+        """Central differences (h = 1e-2) of the loss at 4 Rng-chosen entries of every parameter
+        of all-Swish mini-x3d on 8x8 images: through the skips, the projections, the stem's
+        weights-only backward and, on 40 images, the sum over two chunks. The error is
+        |fd - g| / max(|fd|, |g|, 1e-3) per entry: a float32 forward's rounding puts the worst at
+        9.1e-3 (one pass) and 4.2e-3 (two chunks) here, and at most 1.0e-2 over seeds 2-7."""
+        spec, _ = replace_activations(preset("mini-x3d", blocks), GroupSelector("all"), None, ActivationKind.SWISH)
+        model = build_model(spec, Rng(1))
+        batch = Rng(101).uniforms(n * 3 * 8 * 8).reshape(n, 3, 8, 8).astype(np.float32)
+        labels = np.arange(n) % 10
+        _, grads = loss_and_gradients(model, batch, labels)
+        pick, h = Rng(201), np.float32(1e-2)
+        worst = {}
+        for name, p in model.params.items():
+            errors = []
+            for i in (pick.uniforms(4) * p.size).astype(np.int64):
+                orig, losses = p.flat[i], []
+                for step in (h, -h):
+                    p.flat[i] = orig + step
+                    losses.append(softmax_cross_entropy(forward(model, batch), labels)[0])
+                p.flat[i] = orig
+                fd = (losses[0] - losses[1]) / (float(orig + h) - float(orig - h))
+                g = float(grads[name].flat[i])
+                errors.append(abs(fd - g) / max(abs(fd), abs(g), 1e-3))
+            worst[name] = max(errors)
+        assert max(worst.values()) < 3e-2, worst
 
     def test_gradient_keys_match_parameters(self):
         model = build_model(preset("mini-x3d"), Rng(8))

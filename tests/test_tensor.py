@@ -180,29 +180,38 @@ class TestHeInit:
             he_init((4, 0), 4, Rng(0))
 
 
-# The two memory orders the conv ops keep (see actkit.tensor).
-LAYOUTS = {"C": np.ascontiguousarray, "channels-last": tensor.channels_last}
+def channels_last(a):
+    """a's values stored channels-last: the NCHW view of a C-contiguous NHWC copy."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
-def assert_stored_as(got, x):
-    """got is stored as x is: channels-last, else C-contiguous."""
-    assert tensor.is_channels_last(got) if tensor.is_channels_last(x) else got.flags.c_contiguous
+def is_channels_last(a):
+    """Whether a is 4-D and stored as the NCHW view of a C-contiguous NHWC array."""
+    return a.ndim == 4 and a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+# Operand layouts, each of which must give the C-order operand's bytes; all but channels-last
+# apply to any rank.
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "channels-last": channels_last,
+    "fortran": np.asfortranarray,
+    "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+}
 
 
 def backward_in_every_order(x, w, up, stride, **kw):
-    """conv2d_backward of C-order x and upstream, after checking that every other pairing of
-    their layouts (channels-last x, upstream or both) gives the same bytes, grad_input stored
-    as x is and grad_weights and grad_bias C-contiguous."""
+    """conv2d_backward of C-order x and upstream, after checking that every pairing of their
+    layouts gives the same bytes, grad_input channels-last and grad_weights and grad_bias
+    C-contiguous."""
     want = conv2d_backward(x, w, up, stride, **kw)
     for to_x in LAYOUTS.values():
         for to_up in LAYOUTS.values():
-            xs = to_x(x)
-            got = conv2d_backward(xs, w, to_up(up), stride, **kw)
+            got = conv2d_backward(to_x(x), w, to_up(up), stride, **kw)
             assert [None if g is None else g.tobytes() for g in got] == [
                 None if g is None else g.tobytes() for g in want
             ]
-            if got[0] is not None:
-                assert_stored_as(got[0], xs)
+            assert got[0] is None or is_channels_last(got[0])
             assert got[1].flags.c_contiguous and got[2].flags.c_contiguous
     return want
 
@@ -376,8 +385,8 @@ class TestConvSlices:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_bit_identical_to_whole_batch(self, monkeypatch, k, stride, c, n, images_per_slice):
         """n = 7 in slices of at most 3 images is cut 2, 2, 3, so one slice is larger
-        than the others. A channels-last x gives a channels-last output, the same bytes
-        as the C-order call's."""
+        than the others. The output is channels-last, and every layout of x gives the
+        C-order call's bytes."""
         rs = np.random.RandomState(1000 + 100 * k + 10 * stride + c)
         h, wid, o = 19, 17, 40
         x = rs.uniform(-1, 1, (n, c, h, wid)).astype(np.float32)
@@ -388,13 +397,10 @@ class TestConvSlices:
         got = conv2d_forward(x, w, b, stride)
         want = whole_batch_conv(x, w, b, stride)
         assert got.shape == want.shape == (n, o, -(-h // stride), -(-wid // stride))
-        assert got.flags.c_contiguous
         assert np.array_equal(got, want)
-        x_cl = tensor.channels_last(x)
-        assert tensor.is_channels_last(x_cl) == (n > 0)  # an empty array is C-contiguous too
-        got_cl = conv2d_forward(x_cl, w, b, stride)
-        assert_stored_as(got_cl, x_cl)
-        assert got_cl.tobytes() == got.tobytes()
+        for layout in LAYOUTS.values():
+            got_l = conv2d_forward(layout(x), w, b, stride)
+            assert is_channels_last(got_l) and got_l.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("n, limit_images, sizes", [(7, 3, [2, 2, 3]), (6, 3, [3, 3]), (5, 1, [1] * 5), (2, 9, [2])])
     def test_slices_balanced_under_limit(self, monkeypatch, n, limit_images, sizes):
@@ -419,9 +425,9 @@ class TestConvSlices:
 
     def test_peak_memory_under_whole_batch_patches(self):
         """(64, 8, 32, 32) with a 3x3 kernel has a 64*1024*72*4 B = 18.9 MB
-        whole-batch patch matrix. Sliced, the traced peak is the NHWC output, its
-        NCHW copy and one slice: about 4.4 MB. numpy reports its buffers to
-        tracemalloc."""
+        whole-batch patch matrix. Sliced, the traced peak is the NHWC output and
+        one slice's padded input and patches: about 4.4 MB. numpy reports its
+        buffers to tracemalloc."""
         rs = np.random.RandomState(71)
         x = rs.uniform(-1, 1, (64, 8, 32, 32)).astype(np.float32)
         w = rs.uniform(-1, 1, (8, 8, 3, 3)).astype(np.float32)
@@ -472,6 +478,24 @@ class TestDense:
         with pytest.raises(ShapeError, match=re.escape("upstream shape (2, 4) != output shape (2, 5)")):
             dense_backward(x, w, np.zeros((2, 4), dtype=np.float32))
 
+    def test_operand_layout_keeps_bits(self):
+        """Fortran-order and strided operands give the C-order calls' bytes, in C-contiguous
+        results, here and in the loss the head feeds: a GEMM's or a row sum's summation order
+        would follow its operands' memory."""
+        rs = np.random.RandomState(39)
+        x, w, up = (rs.uniform(-4, 4, shape).astype(np.float32) for shape in ((32, 32), (32, 10), (32, 10)))
+        b, labels = rs.uniform(-1, 1, 10).astype(np.float32), rs.randint(0, 10, 32)
+
+        def results(to):
+            loss, grad = softmax_cross_entropy(to(up), labels)
+            return [dense_forward(to(x), to(w), b), *dense_backward(to(x), to(w), to(up)), np.float64(loss), grad]
+
+        want = results(np.ascontiguousarray)
+        for to in (LAYOUTS["fortran"], LAYOUTS["strided"]):
+            got = results(to)
+            assert all(g.flags.c_contiguous for g in got)
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
 
 class TestGlobalAvgPool:
     """Spatial mean and its uniform-spread backward."""
@@ -484,12 +508,20 @@ class TestGlobalAvgPool:
 
     def test_channels_last_input_same_bytes(self):
         """The mean reads C-order memory whatever x's layout, so its summation order and bits
-        do not depend on it."""
-        x = np.random.RandomState(41).uniform(-1, 1, (4, 32, 9, 7)).astype(np.float32)
-        xs = tensor.channels_last(x)
-        assert tensor.is_channels_last(xs) and np.array_equal(xs, x)
-        assert np.shares_memory(tensor.channels_last(xs), xs)  # already channels-last: no copy
-        assert global_avg_pool(xs).tobytes() == global_avg_pool(x).tobytes()
+        do not depend on it; the features are C-contiguous. The backward's 4-D gradient is
+        channels-last, with the same values in every upstream layout."""
+        rs = np.random.RandomState(41)
+        x = rs.uniform(-1, 1, (4, 32, 9, 7)).astype(np.float32)
+        want = global_avg_pool(x)
+        for layout in LAYOUTS.values():
+            got = global_avg_pool(layout(x))
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        up = rs.uniform(-1, 1, (4, 32)).astype(np.float32)
+        want = global_avg_pool_backward(up, 9, 7)
+        assert is_channels_last(want) and want.shape == (4, 32, 9, 7)
+        for layout in (LAYOUTS["fortran"], LAYOUTS["strided"]):
+            got = global_avg_pool_backward(layout(up), 9, 7)
+            assert is_channels_last(got) and got.tobytes() == want.tobytes()
 
     def test_gradient_matches_fd(self):
         rs = np.random.RandomState(43)
