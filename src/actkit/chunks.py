@@ -1,16 +1,22 @@
-"""The chunk executor that runs modelspec's chunks of images and the kernels' spans of blocks
-on the caller's thread and a pool of one thread per other core."""
+"""The chunk executor that runs modelspec's chunks of images and the kernels' spans of blocks.
 
-import contextlib
+One rule: while numpy's OpenBLAS thread controls exist and no other call holds _pool_lock, a
+call of one chunk or many holds OpenBLAS at one thread and runs its chunks on the caller's
+thread together with the process's helper pool, one thread per other core. The pool is kept
+between calls; it is built on first use and rebuilt when the pid or the core count changes,
+so a forked child or a new affinity gets fresh threads. In every other case (no controls, a
+call from inside a running chunk, a call on another thread while one runs) the caller's
+thread runs the chunks in order."""
+
 import functools
 import os
 import threading
 
 import numpy as np
 
-# lets one _chunk_pool block at a time hold OpenBLAS at one thread and start threads
+# lets one _run_chunks call at a time hold OpenBLAS at one thread and hand chunks to the helpers
 _pool_lock = threading.Lock()
-_held = threading.local()  # .pool: this thread's _chunk_pool pool, unset while it runs chunks
+_kept = None  # (pid, helper count, ThreadPoolExecutor): the helper pool, kept between calls
 
 
 @functools.cache
@@ -33,38 +39,18 @@ def _openblas_threads():
     return None
 
 
-@contextlib.contextmanager
-def _chunk_pool():
-    """The thread pool of the _run_chunks calls inside the block: one thread per core but
-    the caller's, with OpenBLAS held at one thread; the threads end with the block.
-
-    A nested block on the thread that holds the pool gets the same pool. Yields None, so
-    that the caller runs every chunk, on one core, without numpy's OpenBLAS thread
-    controls, inside a chunk, or on any other thread while one holds the pool. A training
-    run opens one block for its steps and evaluation: a thread started per step could start
-    before the last one had handed back its malloc arena, which keeps a chunk's worth of memory.
-    """
-    if hasattr(_held, "pool"):
-        yield _held.pool
-        return
-    blas = _openblas_threads()
-    workers = len(os.sched_getaffinity(0)) - 1 if blas is not None else 0
-    if workers < 1 or not _pool_lock.acquire(blocking=False):
-        yield None
-        return
-    try:
+def _helpers(count: int):
+    """The kept pool of count helper threads, rebuilt in a forked child or for another count.
+    Call it only while holding _pool_lock."""
+    global _kept
+    pid = os.getpid()
+    if _kept is None or _kept[:2] != (pid, count):
         from concurrent.futures import ThreadPoolExecutor
 
-        threads = blas[0]()
-        blas[1](1)
-        try:
-            with ThreadPoolExecutor(workers, thread_name_prefix="actkit-chunks") as _held.pool:
-                yield _held.pool
-        finally:
-            vars(_held).pop("pool", None)
-            blas[1](threads)
-    finally:
-        _pool_lock.release()
+        if _kept is not None and _kept[0] == pid:  # a forked child has none of its parent's threads
+            _kept[2].shutdown(wait=False)
+        _kept = (pid, count, ThreadPoolExecutor(count, thread_name_prefix="actkit-chunks"))
+    return _kept[2]
 
 
 def _cut(n: int, size: int) -> list[tuple[int, int]]:
@@ -74,14 +60,16 @@ def _cut(n: int, size: int) -> list[tuple[int, int]]:
 
 
 def _run_chunks(fn, bounds: list[tuple[int, int]]) -> list:
-    """[fn(lo, hi) for lo, hi in bounds]: one chunk inline; several by the caller's thread and the
-    threads of its _chunk_pool, if it gets one; a call from inside a running chunk on its own thread.
+    """[fn(lo, hi) for lo, hi in bounds], under the module's one rule: with OpenBLAS held at one
+    thread, on the caller's thread and as many kept helpers as there are other chunks and other
+    cores; or, without the controls or the lock, on the caller's thread alone, in order.
 
     The threads take chunk indices in order from one shared iterator, each under the
     caller's numpy error state. Once a chunk raises, no new chunk starts; the running
     ones finish, and the lowest failing index's exception is re-raised as it is.
     """
-    if len(bounds) < 2:  # no pool, and OpenBLAS's thread count left alone
+    blas = _openblas_threads()
+    if blas is None or not _pool_lock.acquire(blocking=False):
         return [fn(lo, hi) for lo, hi in bounds]
     err = np.geterr()
     results = [None] * len(bounds)
@@ -90,7 +78,7 @@ def _run_chunks(fn, bounds: list[tuple[int, int]]) -> list:
     take = threading.Lock()
 
     def work() -> None:
-        # a pool thread starts with numpy's default error handling, not the caller's
+        # a helper thread runs with numpy's default error handling, not the caller's
         with np.errstate(**err):
             while True:
                 with take:
@@ -103,17 +91,19 @@ def _run_chunks(fn, bounds: list[tuple[int, int]]) -> list:
                     with take:
                         failed[j] = exc
 
-    with _chunk_pool() as pool:
-        # one helper per chunk but the caller's; the pool runs as many at once as it has threads
-        helpers = [pool.submit(work) for _ in bounds[1:]] if pool is not None else []
-        held = vars(_held).pop("pool", None)  # its threads are busy: a call in a chunk gets none
+    threads = blas[0]()
+    blas[1](1)
+    try:
+        cores = len(os.sched_getaffinity(0))
+        helpers = [_helpers(cores - 1).submit(work) for _ in range(min(cores, len(bounds)) - 1)]
         try:
             work()
         finally:
-            if held is not None:
-                _held.pool = held
             for h in helpers:
                 h.result()
+    finally:
+        blas[1](threads)
+        _pool_lock.release()
     if failed:
         raise failed[min(failed)]
     return results

@@ -2,11 +2,9 @@
 mean aggregation, wall-time capture, and CSV/JSON report emission.
 
 Every run is deterministic given (config, platform): model init, batch order,
-and evaluation all draw from one SplitMix64 stream per seed. A run holds one
-chunk pool for all its steps and its evaluation; how modelspec's forward and
-loss_and_gradients cut a batch into chunks never changes the results. BLAS may
-run its GEMMs on several threads; results are bit-identical with 1 and 2 BLAS
-threads.
+and evaluation all draw from one SplitMix64 stream per seed. How modelspec's
+forward and loss_and_gradients cut a batch into chunks, and how many cores and
+BLAS threads there are, never changes the results.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -22,7 +19,6 @@ from typing import Annotated
 
 import numpy as np
 
-from .chunks import _chunk_pool
 from .dataio import ImageDataset, gen_synthetic_images, load_cifar10_binary, subset
 from .errors import ConfigError, DomainError, FormatError
 from .kernels import ActivationKind
@@ -167,7 +163,7 @@ def load_datasets(cfg: DataConfig) -> tuple[ImageDataset, ImageDataset]:
 
 
 def evaluate(model: Model, ds: ImageDataset) -> float:
-    """Top-1 accuracy over the dataset: one forward call, which runs a large set in 32-image chunks."""
+    """Top-1 accuracy over the dataset: one forward call, which runs a set of 32 or more in chunks on every core."""
     return int((forward(model, ds.images).argmax(axis=1) == ds.labels).sum()) / len(ds)
 
 
@@ -182,27 +178,24 @@ def _train_single(
 
     last_loss = None
     start = time.perf_counter()
-    with _chunk_pool():  # one pool for every step of the run and its evaluation
-        for epoch in range(1, hp.epochs + 1):
-            order = np.argsort(rng.uniforms(n), kind="stable")
-            for step, lo in enumerate(range(0, n, hp.batch_size), start=1):
-                idx = order[lo : lo + hp.batch_size]
-                try:
-                    loss, grads = loss_and_gradients(model, train.images[idx], train.labels[idx])
-                except DomainError as err:
-                    last = "none" if last_loss is None else repr(last_loss)
-                    where = f"seed {seed} epoch {epoch} step {step} (last finite loss {last})"
-                    raise DomainError(f"{where}: {err}") from err
-                if math.isfinite(loss):
-                    last_loss = loss
+    for epoch in range(1, hp.epochs + 1):
+        order = np.argsort(rng.uniforms(n), kind="stable")
+        for step, lo in enumerate(range(0, n, hp.batch_size), start=1):
+            idx = order[lo : lo + hp.batch_size]
+            try:
+                loss, grads = loss_and_gradients(model, train.images[idx], train.labels[idx])
                 model.params, velocity = sgd_momentum_step(model.params, grads, velocity, hp.lr, hp.momentum)
-        train_seconds = time.perf_counter() - start
-        return SeedRun(
-            seed=seed,
-            test_accuracy=evaluate(model, test),
-            train_seconds=train_seconds,
-            init_param_hash=init_hash,
-        )
+            except DomainError as err:
+                where = f"seed {seed} epoch {epoch} step {step} (last loss {last_loss!r})"
+                raise DomainError(f"{where}: {err}") from err
+            last_loss = loss
+    train_seconds = time.perf_counter() - start
+    return SeedRun(
+        seed=seed,
+        test_accuracy=evaluate(model, test),
+        train_seconds=train_seconds,
+        init_param_hash=init_hash,
+    )
 
 
 def run_experiment(

@@ -16,6 +16,7 @@ import numpy as np
 
 from .chunks import _cut, _run_chunks
 from .errors import DomainError, ShapeError
+from .tensor import _real
 
 MAX_GRID_POINTS = 10**8  # bounds max_approx_error's run time (~1 s); it holds a few blocks at a time
 # Elements per block: one block's input, output and temporaries fit one core's 2 MiB L2.
@@ -198,18 +199,10 @@ def activate_batch_backward(kind: ActivationKind, xs: np.ndarray, upstream: np.n
     """upstream * f'(x), elementwise, in xs's memory order. Shapes must match. NaN and +-inf
     are not checked, but a value beyond float32 in either operand raises a DomainError naming
     the first as given, as the forward does."""
-    given = np.asarray(xs), np.asarray(upstream)
-    with np.errstate(over="ignore"):  # a value beyond float32 casts to inf, named below as given
-        arr, up = [np.asarray(g, dtype=np.float32) for g in given]
+    arr = _real(xs, f"{kind.value} backward input")
+    up = _real(upstream, f"{kind.value} backward upstream")
     if arr.shape != up.shape:
         raise ShapeError(f"input shape {arr.shape} != upstream shape {up.shape}")
-    for what, g, a in zip(("input", "upstream"), given, (arr, up)):
-        if g.dtype.kind == "f" and g.dtype.itemsize > 4:  # only a wider operand can overflow the cast
-            beyond = np.isinf(a) & np.isfinite(g)
-            if beyond.any():
-                i = int(beyond.argmax())
-                raise DomainError(f"{kind.value} backward {what} {a.shape} has {np.count_nonzero(beyond)} "
-                                  f"elements beyond float32, first {g.flat[i]} at flat index {i}")
     return _blocked(kind, arr, up)
 
 

@@ -25,6 +25,7 @@ from .kernels import ActivationKind, activate_batch, activate_batch_backward
 from .tensor import (
     Rng,
     _as_real,
+    _finite,
     class_labels,
     conv2d_backward,
     conv2d_forward,
@@ -378,39 +379,43 @@ def _forward_internal(model: Model, batch: np.ndarray, record: bool):
         cur = _activate_at(f"{prefix}.act_b", blk.act_b, s)
         if record:
             blocks.append((prefix, blk, x_in, z1, a1, s))
-    feats = global_avg_pool(cur)
-    logits = dense_forward(feats, p["head.w"], p["head.b"])
+    feats = _finite("pool: features", global_avg_pool(cur))  # no site checks what follows the last one
+    logits = _finite("head: logits", dense_forward(feats, p["head.w"], p["head.b"]))
     return logits, (batch, z_stem, blocks, feats, cur.shape)
 
 
-# forward cuts a batch of n images into max(1, n // 32) near-equal chunks, loss_and_gradients into
-# max(1, n // 16). Each of several chunks holds at least this many images, so every conv GEMM stays
-# out of OpenBLAS's small-matrix kernels (another summation order) whatever the core count.
-_FORWARD_CHUNK, _STEP_CHUNK = 32, 16
+# forward and loss_and_gradients cut a batch of n images into max(1, n // 16) near-equal chunks.
+# Each of several chunks holds at least 16 images, so every conv GEMM stays out of OpenBLAS's
+# small-matrix kernels (another summation order) whatever the core count.
+_CHUNK = 16
 
 
 def _run_image_chunks(fn, bounds: list[tuple[int, int]]) -> list:
-    """_run_chunks, with a chunk's images in front of its ActkitError if there are several chunks:
-    "images 32-63 of 96: ..."."""
+    """_run_chunks, with a chunk's images in front of its ActkitError if there are several chunks
+    ("images 32-47 of 96: ..."), and with numpy's overflow and invalid warnings off: a value that
+    leaves float32 is named by the next activation site or finiteness check instead."""
     def run(lo: int, hi: int):
         try:
             return fn(lo, hi)
         except ActkitError as exc:
             raise type(exc)(f"images {lo}-{hi - 1} of {bounds[-1][1]}: {exc}") from exc
-    return _run_chunks(run if len(bounds) > 1 else fn, bounds)
+    with np.errstate(over="ignore", invalid="ignore"):  # the executor hands this to every chunk
+        return _run_chunks(run if len(bounds) > 1 else fn, bounds)
 
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Run the model on an NCHW batch; returns (N, num_classes) logits. Pure.
 
-    The batch runs as max(1, n // 32) near-equal chunks of whole images (_run_image_chunks):
-    under 64 images one chunk inline, from 64 on every core, so its peak memory is a few
-    chunks', not the batch's. The logits are the same bits as one whole-batch pass. Of
-    several chunks, the first (in order) to raise an ActkitError re-raises it with its images
-    in front, e.g. "images 32-63 of 96: stem.act: ..."; any other exception propagates as it is.
+    The batch runs as max(1, n // 16) near-equal chunks of whole images (_run_image_chunks),
+    through the chunk executor: from 32 images on every core, so its peak memory is a few
+    chunks', not the batch's. The logits are the same bits as one whole-batch pass. A
+    non-finite pre-activation, pooled feature or logit raises a DomainError naming its site
+    or op. Of several chunks, the first (in order) to raise an ActkitError re-raises it with
+    its images in front, e.g. "images 32-47 of 96: stem.act: ..."; any other exception
+    propagates as it is.
     """
     batch = _as_real(batch, 4, "conv input")
-    bounds = _cut(batch.shape[0], _FORWARD_CHUNK)
+    bounds = _cut(batch.shape[0], _CHUNK)
     chunks = _run_image_chunks(lambda lo, hi: _forward_internal(model, batch[lo:hi], record=False)[0], bounds)
     return np.concatenate(chunks)
 
@@ -420,14 +425,16 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy loss and parameter gradients for a batch of one image or more. Once its
     labels pass class_labels, it runs as max(1, n // 16) near-equal chunks (_run_image_chunks, as
-    in forward), summed by chunk size in chunk order: the same bits for any core count; under 32
-    images the one-pass result bit for bit, from 32 within float32 rounding of one whole-batch pass."""
+    in forward), summed by chunk size in chunk order: the same bits for any core count and BLAS
+    thread count; under 32 images the one-pass result bit for bit, from 32 within float32
+    rounding of one whole-batch pass. Beyond forward's checks, a non-finite loss or parameter
+    gradient raises a DomainError naming it ("loss: ...", "gradient of head.b (10,) has ...")."""
     batch = _as_real(batch, 4, "conv input")
     n = batch.shape[0]
     if n == 0:
         raise DomainError(f"loss needs at least one image, got batch shape {batch.shape}")
     labels = class_labels(labels, n, model.spec.num_classes)
-    bounds = _cut(n, _STEP_CHUNK)
+    bounds = _cut(n, _CHUNK)
     parts = _run_image_chunks(lambda lo, hi: _loss_and_gradients_pass(model, batch[lo:hi], labels[lo:hi]), bounds)
     loss, grads = 0.0, {}
     for (lo, hi), (part_loss, part_grads) in zip(bounds, parts):
@@ -446,6 +453,8 @@ def _loss_and_gradients_pass(
     """Mean cross-entropy loss and exact parameter gradients for one batch, in one pass."""
     logits, (x, z_stem, blocks, feats, last_shape) = _forward_internal(model, batch, record=True)
     loss, g_logits = softmax_cross_entropy(logits, labels)
+    if not math.isfinite(loss):
+        raise DomainError(f"loss: cross-entropy {loss} over {batch.shape[0]} images is not finite")
     p = model.params
     grads: dict[str, np.ndarray] = {}
 
@@ -464,4 +473,4 @@ def _loss_and_gradients_pass(
         g_cur = gx + gs
     g_stem = activate_batch_backward(model.spec.stem_act, z_stem, g_cur)
     _, grads["stem.w"], grads["stem.b"] = conv2d_backward(x, p["stem.w"], g_stem, 1, input_grad=False)
-    return loss, {name: grads[name] for name in model.params}
+    return loss, {name: _finite(f"gradient of {name}", grads[name]) for name in model.params}

@@ -102,10 +102,38 @@ def _as_real(x: np.ndarray, rank: int, what: str) -> np.ndarray:
     """float32 x of the given rank (else a ShapeError). A 4-D x keeps its layout, which the 4-D ops
     read with the C-order bits; other ranks come C-contiguous, since a GEMM's or a row sum's
     summation order follows its operands' memory."""
-    arr = np.asarray(x, dtype=REAL)
+    arr = _real(x, what)
     if arr.ndim != rank:
         raise ShapeError(f"{what} must have rank {rank}, got shape {arr.shape}")
     return arr if rank == 4 else np.ascontiguousarray(arr)
+
+
+def _real(x: np.ndarray, what: str) -> np.ndarray:
+    """x as float32; a DomainError names what, its shape and its first finite value beyond
+    float32 as given, if a wider float x holds one. A float32 x passes as it is."""
+    given = np.asarray(x)
+    if given.dtype == REAL:
+        return given
+    with np.errstate(over="ignore"):  # a value beyond float32 casts to inf, named below as given
+        arr = given.astype(REAL)
+    if given.dtype.kind == "f" and given.dtype.itemsize > 4:  # only a wider float can overflow the cast
+        beyond = np.isinf(arr) & np.isfinite(given)
+        if beyond.any():
+            i = int(beyond.argmax())
+            raise DomainError(f"{what} {arr.shape} has {np.count_nonzero(beyond)} elements beyond float32, "
+                              f"first {given.flat[i]} at flat index {i}")
+    return arr
+
+
+def _finite(what: str, a: np.ndarray) -> np.ndarray:
+    """a, or a DomainError naming what, a's shape and its first non-finite element by C-order flat
+    index, in the form of an activation site's message."""
+    ok = np.isfinite(a)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        i = int(bad[0])
+        raise DomainError(f"{what} {a.shape} has {bad.size} non-finite elements, first {a.flat[i]} at flat index {i}")
+    return a
 
 
 # Bytes of patch matrix that conv2d_forward builds per batch slice: about one core's L2.
@@ -353,15 +381,17 @@ def sgd_momentum_step(
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """v <- momentum*v + g; p <- p - lr*v, per parameter name. Pure: returns fresh
     dicts of fresh arrays, in the order of params. A ShapeError names the parameter
-    (the least name, if several) whose name set or shape disagrees."""
+    (the least name, if several) whose name set or shape disagrees; a DomainError
+    names the first whose update is not finite, e.g. "update of head.b (10,) has ..."."""
     for what, other in (("grads", grads), ("velocity", velocity)):
         if other.keys() != params.keys():
             raise ShapeError(f"{what} and params differ at parameter {min(other.keys() ^ params.keys())!r}")
     new_params, new_velocity = {}, {}
-    for name, p in params.items():
-        g, v = grads[name], velocity[name]
-        if p.shape != g.shape or p.shape != v.shape:
-            raise ShapeError(f"parameter {name!r} has mismatched shapes {p.shape}/{g.shape}/{v.shape}")
-        new_velocity[name] = nv = REAL(momentum) * v + g
-        new_params[name] = p - REAL(lr) * nv
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite update is named below
+        for name, p in params.items():
+            g, v = grads[name], velocity[name]
+            if p.shape != g.shape or p.shape != v.shape:
+                raise ShapeError(f"parameter {name!r} has mismatched shapes {p.shape}/{g.shape}/{v.shape}")
+            new_velocity[name] = nv = REAL(momentum) * v + g
+            new_params[name] = _finite(f"update of {name}", p - REAL(lr) * nv)
     return new_params, new_velocity

@@ -11,9 +11,10 @@ from actkit import chunks
 
 @pytest.fixture
 def pool_spy(monkeypatch):
-    """Two cores, and a record of the chunk executor's pools: .pools, each pool made, and
-    .submits, the arguments of each call handed to one. Skips where numpy's OpenBLAS has no
-    thread controls, since the executor then makes no pool."""
+    """Two cores, no kept pool, and a record of the chunk executor's pools: .pools, each pool
+    made, and .submits, the arguments of each call handed to one. Skips where numpy's OpenBLAS
+    has no thread controls, since the executor then makes no pool. The pools it records end
+    with the test, and the kept pool from before it is kept again."""
     if chunks._openblas_threads() is None:
         pytest.skip("without OpenBLAS thread controls the executor makes no pool")
     spy = SimpleNamespace(pools=[], submits=[])
@@ -29,4 +30,7 @@ def pool_spy(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-    return spy
+    monkeypatch.setattr(chunks, "_kept", None)
+    yield spy
+    for pool in spy.pools:
+        pool.shutdown()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from actkit import (
+    FULL_SCALE_BLOCKS,
     MIDDLE,
     ActivationKind,
     BlockSpec,
@@ -271,29 +272,58 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_divergence_names_seed_epoch_step_and_last_loss(self):
-        """lr 10 on mini-x3d diverges within two epochs; the error puts the seed, epoch,
-        step and last finite loss in front of the forward pass's site message."""
+        """lr 10 on mini-x3d diverges within two epochs, with numpy's overflow warnings raising
+        as the suite sets them; the error puts the seed, epoch, step and last loss in front of
+        the forward pass's site message."""
         cfg = tiny_config(
             preset="mini-x3d",
             dataset=DataConfig(source="synthetic-images", train_size=64, test_size=16),
             hyperparams=Hyperparams(lr=10.0, batch_size=16, epochs=2),
             seeds=(1,),
         )
-        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
-            with pytest.raises(DomainError) as caught:
-                run_experiment(cfg)
+        with pytest.raises(DomainError) as caught:
+            run_experiment(cfg)
         msg, site_err = str(caught.value), caught.value.__cause__
-        head = re.match(r"seed 1 epoch ([12]) step ([1-4]) \(last finite loss (\S+)\): ", msg)
+        head = re.match(r"seed 1 epoch ([12]) step ([1-4]) \(last loss (\S+)\): ", msg)
         assert head, msg
         assert isinstance(site_err, DomainError) and msg[head.end() :] == str(site_err)
         assert re.match(r"(stem|stage\d\.block1)\.act(_a|_b)?: (relu|swish) batch \(16, ", str(site_err))
-        assert head.group(3) == "none" or np.isfinite(float(head.group(3)))
+        assert head.group(3) == "None" or np.isfinite(float(head.group(3)))
+
+    def test_full_depth_divergence_names_the_pool(self):
+        """Full-depth He-init mini-x3d at lr 3e-3 (seed 2, 640 training images) overflows the
+        pool's float32 sum at step 3, with every site's input finite. The step raises a
+        DomainError naming seed, epoch, step and the pool, not a numpy warning or a NaN loss."""
+        spec = preset("mini-x3d", FULL_SCALE_BLOCKS)
+        train, test = gen_synthetic_images(640, seed=0), gen_synthetic_images(8, seed=1)
+        with pytest.raises(DomainError) as caught:
+            experiments._train_single(spec, train, test, Hyperparams(lr=3e-3, batch_size=32, epochs=1), seed=2)
+        assert re.match(
+            r"seed 2 epoch 1 step 3 \(last loss [0-9.e+]+\): images 0-15 of 32: pool: features \(16, 32\) "
+            r"has 16 non-finite elements, first inf at flat index \d+$",
+            str(caught.value),
+        ), str(caught.value)
+
+    def test_non_finite_update_names_seed_step_and_parameter(self, monkeypatch):
+        """Finite gradients whose SGD update leaves float32 stop the run at that step, with the
+        first such parameter named."""
+        def huge(model, batch, labels):
+            return 2.5, {name: np.full_like(p, 3e38) for name, p in model.params.items()}
+
+        monkeypatch.setattr(experiments, "loss_and_gradients", huge)
+        cfg = tiny_config(preset="mini-x3d", hyperparams=Hyperparams(lr=10.0, batch_size=32, epochs=1), seeds=(3,))
+        with pytest.raises(DomainError) as caught:
+            run_experiment(cfg)
+        assert str(caught.value) == (
+            "seed 3 epoch 1 step 1 (last loss None): update of stem.w (8, 3, 3, 3) has 216 non-finite elements, "
+            "first -inf at flat index 0"
+        )
 
 
 class TestChunkedStep:
     """loss_and_gradients runs a batch of n >= 32 images as n // 16 chunks on every core,
     combined as the size-weighted sum in chunk order: the same bits on every executor path.
-    A training run keeps one pool for all its steps and its evaluation."""
+    Every step and evaluation of every run uses the one pool that the process keeps."""
 
     @staticmethod
     def step_bytes(model, data):
@@ -315,11 +345,13 @@ class TestChunkedStep:
     @pytest.mark.parametrize("n", [8, 31, 32, 33, 40, 48])
     def test_close_to_one_pass(self, n):
         """The weighted chunk sum is the whole-batch mean, up to float32 rounding; under 32
-        images the step is the one pass itself."""
+        images the step is the one pass itself, which the executor runs at one OpenBLAS thread."""
         model = build_model(preset("mini-x3d"), Rng(3))
         data = gen_synthetic_images(n, seed=4)
         loss, grads = modelspec.loss_and_gradients(model, data.images, data.labels)
-        want_loss, want = modelspec._loss_and_gradients_pass(model, data.images, data.labels)
+        [(want_loss, want)] = chunks._run_chunks(
+            lambda lo, hi: modelspec._loss_and_gradients_pass(model, data.images, data.labels), [(0, n)]
+        )
         assert list(grads) == list(want)
         if n < 32:
             assert loss == want_loss and all(np.array_equal(grads[k], want[k]) for k in want)
@@ -329,8 +361,8 @@ class TestChunkedStep:
 
     def test_one_pool_for_all_steps_of_a_run(self, pool_spy):
         """A pool per step would start a thread per step; one could start before the last had
-        handed back its malloc arena, and each extra arena holds a chunk's memory. The 96-image
-        evaluation (3 forward chunks) runs on the run's pool too."""
+        handed back its malloc arena, and each extra arena holds a chunk's memory. Both seeds'
+        steps and 96-image evaluations (6 forward chunks) run on the one kept pool."""
         cfg = tiny_config(
             preset="mini-x3d",
             dataset=DataConfig(source="synthetic-images", train_size=96, test_size=96),
@@ -338,7 +370,7 @@ class TestChunkedStep:
             seeds=(1, 2),
         )
         run_experiment(cfg)  # 2 seeds x (2 epochs x 3 steps + 1 evaluation)
-        assert len(pool_spy.pools) == 2
+        assert len(pool_spy.pools) == 1 and len(pool_spy.submits) == 2 * (2 * 3 + 1)
 
     def test_error_names_seed_step_and_chunk(self):
         """An inf pixel in the first batch's image 20 fails the 16-31 chunk's stem activation."""
@@ -356,7 +388,7 @@ class TestChunkedStep:
             chunk = order[16:32]
             with pytest.raises(DomainError) as one:
                 modelspec.loss_and_gradients(build_model(spec, Rng(seed)), train.images[chunk], train.labels[chunk])
-        head = "seed 1 epoch 1 step 1 (last finite loss none): images 16-31 of 32: "
+        head = "seed 1 epoch 1 step 1 (last loss None): images 16-31 of 32: "
         assert str(caught.value) == head + str(one.value)
         assert str(one.value).startswith("stem.act: relu batch (16, 8, 32, 32) has ")
         assert int(re.search(r"flat index (\d+)$", str(one.value)).group(1)) // (8 * 32 * 32) == 20 - 16

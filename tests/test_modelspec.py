@@ -450,17 +450,43 @@ class TestForward:
                 loss_and_gradients(model, batch, np.array([0, 1]))
 
 
+    def test_pool_overflow_names_the_pool(self):
+        """A bias of 3e37 before the last ReLU leaves every site's input finite, but the pool's
+        float32 sum overflows. Both passes raise a DomainError naming the pool, under the suite's
+        warning filter, rather than numpy's RuntimeWarning or NaN results."""
+        model = build_model(preset("mini-x3d"), Rng(1))
+        model.params["stage4.block1.conv2.b"][:] = 3e37
+        data = gen_synthetic_images(4, seed=2)
+        message = r"^pool: features \(4, 32\) has 128 non-finite elements, first inf at flat index 0$"
+        with pytest.raises(actkit.DomainError, match=message):
+            forward(model, data.images)
+        with pytest.raises(actkit.DomainError, match=message):
+            loss_and_gradients(model, data.images, data.labels)
+
+    def test_non_finite_gradient_names_its_parameter(self):
+        """Inputs of 1e36 through a stem scaled by 1e-36 give finite activations and logits, but
+        a head scaled by 1e4 makes the stem's weight gradient, a sum over those inputs, overflow."""
+        model = build_model(preset("mini-x3d"), Rng(1))
+        model.params["stem.w"] *= np.float32(1e-36)
+        model.params["head.w"] *= np.float32(1e4)
+        data = gen_synthetic_images(4, seed=2)
+        batch = data.images * np.float32(1e36)
+        assert np.isfinite(forward(model, batch)).all()
+        with pytest.raises(actkit.DomainError, match=r"^gradient of stem\.w \(8, 3, 3, 3\) has \d+ non-finite elements"):
+            loss_and_gradients(model, batch, data.labels)
+
+
 def _one_pass(model, batch):
     """Logits of the whole batch in one pass on the calling thread, with no chunks."""
     return modelspec._forward_internal(model, batch, record=False)[0]
 
 
 class TestChunkedForward:
-    """forward runs n >= 64 images as n // 32 chunks, on the caller's thread and a pool
-    thread per other core, or on the caller's thread alone: the same bits as one whole-batch
-    pass for any worker count, the caller's numpy error state in every chunk, the failing
-    chunk's images in front of its error, no chunk started after a failure, memory bounded
-    by a few chunks, and OpenBLAS's thread count restored."""
+    """forward runs n >= 32 images as n // 16 chunks, on the caller's thread and the kept
+    helper threads, one per other core, or on the caller's thread alone: the same bits as one
+    whole-batch pass for any worker count, forward's numpy error state in every chunk, the
+    failing chunk's images in front of its error, no chunk started after a failure, memory
+    bounded by a few chunks, and OpenBLAS held at one thread in every call and then restored."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -470,7 +496,7 @@ class TestChunkedForward:
     def images(self):
         return gen_synthetic_images(257, seed=12).images
 
-    @pytest.mark.parametrize("n", [31, 32, 63, 64, 65, 256, 257])
+    @pytest.mark.parametrize("n", [15, 16, 31, 32, 33, 256, 257])
     def test_bit_equal_for_any_worker_count(self, model, images, n, monkeypatch):
         batch = images[:n]
         want = _one_pass(model, batch).tobytes()
@@ -479,21 +505,42 @@ class TestChunkedForward:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)))
             assert forward(model, batch).tobytes() == want
 
-    def test_pool_threads_end_with_the_call(self, model, images):
-        forward(model, images[:96])
-        assert not [t.name for t in threading.enumerate() if t.name.startswith("actkit-chunks")]
+    def test_a_second_call_reuses_the_pool_and_its_thread(self, model, images, pool_spy, monkeypatch):
+        """The caller's first chunk of each call waits until a helper has run a chunk, so both
+        calls run chunks on a helper: the same one, of the one pool the first call made."""
+        caller, helpers = threading.current_thread(), []
+        helped = threading.Event()
+
+        def spy(kind, z):
+            if threading.current_thread() is caller:
+                assert helped.wait(60), "no helper thread ran a chunk"
+            else:
+                helpers.append(threading.current_thread())
+                helped.set()
+            return activate_batch(kind, z)
+
+        want = _one_pass(model, images[:96]).tobytes()
+        monkeypatch.setattr(modelspec, "activate_batch", spy)
+        for _ in range(2):
+            helped.clear()
+            assert forward(model, images[:96]).tobytes() == want
+        assert len(pool_spy.pools) == 1 and len(pool_spy.submits) == 2
+        assert len(set(helpers)) == 1 and set(helpers) == set(pool_spy.pools[0]._threads)
 
     def test_chunks_get_the_callers_error_state(self, model, images, monkeypatch):
+        """forward turns numpy's overflow and invalid warnings off for its chunks, which name a
+        value that leaves float32 themselves; the rest of the caller's error state holds in
+        every chunk, on every thread."""
         seen = []
 
         def spy(kind, z):
-            seen.append(np.geterr()["over"])
+            seen.append((np.geterr()["over"], np.geterr()["invalid"], np.geterr()["divide"]))
             return activate_batch(kind, z)
 
         monkeypatch.setattr(modelspec, "activate_batch", spy)
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             forward(model, images[:96])
-        assert len(seen) == 3 * 9 and set(seen) == {"raise"}
+        assert len(seen) == 6 * 9 and set(seen) == {("ignore", "ignore", "raise")}
 
     @pytest.mark.parametrize("bad, lo", [((40,), 32), ((10, 70), 0)], ids=["later-chunk", "two-chunks"])
     def test_error_names_its_chunk(self, model, images, bad, lo):
@@ -502,33 +549,39 @@ class TestChunkedForward:
             batch[i, 0, 1, 2] = np.inf
         with np.errstate(invalid="ignore"):  # inf * 0 in the stem conv
             with pytest.raises(actkit.DomainError) as one:
-                _one_pass(model, batch[lo : lo + 32])
-            with pytest.raises(actkit.DomainError) as chunked:
-                forward(model, batch)
-        assert str(chunked.value) == f"images {lo}-{lo + 31} of 96: {one.value}"
+                _one_pass(model, batch[lo : lo + 16])
+        with pytest.raises(actkit.DomainError) as chunked:
+            forward(model, batch)
+        assert str(chunked.value) == f"images {lo}-{lo + 15} of 96: {one.value}"
         index = int(re.search(r"flat index (\d+)$", str(one.value)).group(1))
-        assert str(one.value).startswith("stem.act: relu batch (32, 8, 32, 32) has ")
+        assert str(one.value).startswith("stem.act: relu batch (16, 8, 32, 32) has ")
         assert lo + index // (8 * 32 * 32) == bad[0]
 
     def test_stops_after_the_first_failing_chunk(self, model, monkeypatch):
         """An inf in image 0 of 512 fails chunk 0 at its first activation. No chunk starts after
-        that, so each of the two threads finishes at most the one chunk (9 sites) it holds."""
+        that, so each of the two threads finishes at most the one chunk (9 sites) it holds. The
+        other thread's sites wait for that failure, so a kept helper that is quicker off the
+        mark than the caller cannot finish chunks before chunk 0 has begun."""
         batch = gen_synthetic_images(512, seed=13).images
         batch[0, 0, 1, 2] = np.inf
-        calls = []
+        calls, failing = [], threading.Event()
 
         def spy(kind, z):
             calls.append(kind)
+            if np.isfinite(z).all():
+                assert failing.wait(60), "chunk 0 did not reach its first site"
+            else:
+                failing.set()
             return activate_batch(kind, z)
 
         with np.errstate(invalid="ignore"):  # inf * 0 in the stem conv
             with pytest.raises(actkit.DomainError) as one:
-                _one_pass(model, batch[:32])
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-            monkeypatch.setattr(modelspec, "activate_batch", spy)
-            with pytest.raises(actkit.DomainError) as chunked:
-                forward(model, batch)
-        assert str(chunked.value) == f"images 0-31 of 512: {one.value}"
+                _one_pass(model, batch[:16])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(modelspec, "activate_batch", spy)
+        with pytest.raises(actkit.DomainError) as chunked:
+            forward(model, batch)
+        assert str(chunked.value) == f"images 0-15 of 512: {one.value}"
         assert 1 <= len(calls) <= 9 * 2
 
     def test_lowest_failing_chunk_wins_when_a_later_one_fails_first(self, monkeypatch):
@@ -549,46 +602,39 @@ class TestChunkedForward:
             chunks._run_chunks(fn, [(0, 16), (16, 32)])
         assert got.value is first  # as it is: forward and loss_and_gradients name the images
 
-    def test_nested_forward_runs_on_the_open_blocks_threads(self, model, images, monkeypatch):
-        """A forward inside an open _chunk_pool block on the same thread (as evaluate inside a
-        training run) gets that block's pool: the caller's first chunk waits until a pool thread
-        has run a chunk, which never happens if the nested call runs alone."""
-        if chunks._openblas_threads() is None:
-            pytest.skip("without OpenBLAS thread controls there is no pool")
-        batch = images[:96]
-        want = _one_pass(model, batch).tobytes()
-        caller, threads, helped = threading.current_thread(), set(), threading.Event()
+    def test_a_forked_child_or_a_new_core_count_gets_a_fresh_pool(self, pool_spy, monkeypatch):
+        """The kept pool is rebuilt when the pid or the core count changes, and only then: a
+        forked child has none of its parent's threads, and a new affinity needs another count."""
+        def run(n):
+            return chunks._run_chunks(lambda lo, hi: threading.current_thread(), [(j, j + 1) for j in range(n)])
 
-        def spy(kind, z):
-            me = threading.current_thread()
-            threads.add(me)
-            if me is caller:
-                assert helped.wait(60), "no pool thread ran a chunk"
-            else:
-                helped.set()
-            return activate_batch(kind, z)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with chunks._chunk_pool() as pool:
-            monkeypatch.setattr(modelspec, "activate_batch", spy)
-            assert pool is not None and forward(model, batch).tobytes() == want
-            assert threads - {caller} and threads - {caller} <= set(pool._threads)
-        assert all(t.name.startswith("actkit-chunks") for t in threads - {caller})
+        run(4)
+        run(4)
+        assert [p._max_workers for p in pool_spy.pools] == [1]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        run(4)
+        run(4)
+        assert [p._max_workers for p in pool_spy.pools] == [1, 2]
+        pid = os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: pid + 1)  # as in a forked child
+        run(4)
+        assert [p._max_workers for p in pool_spy.pools] == [1, 2, 2]
+        assert pool_spy.pools[0]._shutdown and not pool_spy.pools[1]._shutdown  # the child cannot end it
 
     def test_no_pool_for_a_kernel_call_inside_a_chunk(self, model, images, pool_spy, monkeypatch):
-        """With one-block spans every activation in a 32-image chunk is a large kernel call.
-        Inside a chunk it runs its spans on the chunk's thread: the forward opens one pool,
-        its own, and hands it only its 2 helpers for 3 chunks. On the busy pool, the caller's
-        spans would wait behind the other chunks."""
+        """With one-block spans every activation in a 16-image chunk is a large kernel call.
+        Inside a chunk it runs its spans on the chunk's thread: the forward hands the one pool
+        its one helper's work loop, and nothing else. On the busy pool, the caller's spans
+        would wait behind the other chunks."""
         batch = images[:96]
         want = _one_pass(model, batch).tobytes()
         monkeypatch.setattr(kernels, "_SPAN_BLOCKS", 1)
         assert forward(model, batch).tobytes() == want
-        assert len(pool_spy.pools) == 1 and len(pool_spy.submits) == 2
+        assert len(pool_spy.pools) == 1 and len(pool_spy.submits) == 1
 
     def test_one_chunk_runs_inline(self, model, images, pool_spy, monkeypatch):
-        """forward under 64 images and loss_and_gradients under 32 are one chunk each: run on
-        the caller's thread, with no pool and no submit, though two cores are free."""
+        """forward and loss_and_gradients under 32 images are one chunk each: run on the
+        caller's thread, with no pool and no submit, though two cores are free."""
         threads = []
 
         def spy(kind, z):
@@ -596,7 +642,7 @@ class TestChunkedForward:
             return activate_batch(kind, z)
 
         monkeypatch.setattr(modelspec, "activate_batch", spy)
-        forward(model, images[:63])
+        forward(model, images[:31])
         loss_and_gradients(model, images[:31], np.arange(31) % 10)
         assert pool_spy.pools == [] and pool_spy.submits == []
         assert len(threads) == 2 * 9 and set(threads) == {threading.current_thread()}
@@ -624,7 +670,7 @@ class TestChunkedForward:
         with pytest.raises(actkit.ShapeError) as got:
             forward(model, np.zeros((96, 3, 32, 0), dtype=np.float32))
         assert str(got.value) == (
-            "images 0-31 of 96: conv input needs channels, height and width >= 1, got shape (32, 3, 32, 0)"
+            "images 0-15 of 96: conv input needs channels, height and width >= 1, got shape (16, 3, 32, 0)"
         )
 
     def test_other_errors_propagate_unchanged(self, model, images, monkeypatch):
@@ -670,9 +716,11 @@ class TestChunkedForward:
         monkeypatch.setattr(chunks, "_openblas_threads", lambda: None)
         monkeypatch.setattr(modelspec, "activate_batch", spy)
         assert forward(model, batch).tobytes() == want
-        assert len(threads) == 3 * 9 and set(threads) == {threading.get_ident()}
+        assert len(threads) == 6 * 9 and set(threads) == {threading.get_ident()}
 
     def test_openblas_thread_count_restored(self, model, images, monkeypatch):
+        """Every call holds OpenBLAS at one thread in every chunk, whatever its chunk and core
+        counts, and then sets back the count it found, after a raise as well."""
         blas = chunks._openblas_threads()
         if blas is None:
             pytest.skip("numpy's OpenBLAS exports no known thread-count functions here")
@@ -688,17 +736,17 @@ class TestChunkedForward:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         try:
             put(2)
-            forward(model, images[:96])
-            assert get() == 2 and set(during) == {1}
-            bad = images[:96].copy()
-            bad[50, 0, 0, 0] = np.nan
-            with pytest.raises(actkit.DomainError):
-                forward(model, bad)
-            assert get() == 2
-            during.clear()  # one core makes no pool, so OpenBLAS keeps its count
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            forward(model, images[:96])
-            assert get() == 2 and set(during) == {2}
+            for cores in ({0, 1}, {0}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+                for n in (96, 20):
+                    during.clear()
+                    forward(model, images[:n])
+                    assert get() == 2 and len(during) == n // 16 * 9 and set(during) == {1}
+                    bad = images[:n].copy()
+                    bad[n - 1, 0, 0, 0] = np.nan
+                    with pytest.raises(actkit.DomainError):
+                        forward(model, bad)
+                    assert get() == 2
         finally:
             put(before)
 
@@ -719,7 +767,7 @@ class TestChunkedForward:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_starts_its_own_pool(self, model, images):
         batch = images[:96]
-        want = forward(model, batch).tobytes()  # the parent has run (and ended) a pool
+        want = forward(model, batch).tobytes()  # the parent keeps a pool, whose threads the child lacks
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=lambda: send.send_bytes(forward(model, batch).tobytes()))
@@ -870,8 +918,13 @@ from actkit import Rng, build_model, chunks, forward, gen_synthetic_images, loss
 model = build_model(preset("mini-x3d"), Rng(7))
 data = gen_synthetic_images(32, seed=5)
 digest = hashlib.sha256(forward(model, data.images).tobytes())
-digest.update(forward(model, gen_synthetic_images(96, seed=6).images).tobytes())  # three chunks
+digest.update(forward(model, gen_synthetic_images(96, seed=6).images).tobytes())  # six chunks
 steps = [modelspec._loss_and_gradients_pass(model, data.images, data.labels)]
+# one chunk, which the executor holds at one OpenBLAS thread whatever the environment's count,
+# where it finds the thread controls; without them the step runs at that count
+if chunks._openblas_threads() is not None:
+    small = gen_synthetic_images(31, seed=4)
+    steps.append(loss_and_gradients(build_model(preset("mini-x3d"), Rng(3)), small.images, small.labels))
 # without thread controls the two 16-image chunks run on this thread, so OpenBLAS runs
 # them at the environment's thread count
 chunks._openblas_threads = lambda: None
@@ -886,8 +939,8 @@ print(digest.hexdigest())
 
 def test_results_identical_across_blas_thread_counts():
     """Batch 32 makes the stage-1 GEMMs large enough for OpenBLAS to split them
-    across threads; logits, loss and every gradient, whole-batch and from the chunked
-    training step, must not change bitwise."""
+    across threads; logits, loss and every gradient, whole-batch, from a one-chunk step and
+    from the chunked training step, must not change bitwise."""
     src = str(Path(actkit.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):

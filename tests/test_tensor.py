@@ -657,3 +657,55 @@ class TestSgdMomentum:
             with pytest.raises(ShapeError) as err:
                 sgd_momentum_step(p, grads, velocity, lr=0.1, momentum=0.9)
             assert str(err.value) == message
+
+    def test_non_finite_update_names_its_parameter(self):
+        """An update that leaves float32 raises a DomainError naming the first such parameter,
+        under the suite's warning filter, rather than numpy's overflow warning."""
+        p = {"w": np.ones(2, dtype=np.float32), "b": np.array([1.0, 3e38, -3e38], dtype=np.float32)}
+        g = {"w": np.ones(2, dtype=np.float32), "b": np.array([0.0, -1e38, 1e38], dtype=np.float32)}
+        v = {name: np.zeros_like(a) for name, a in p.items()}
+        with pytest.raises(DomainError) as err:
+            sgd_momentum_step(p, g, v, lr=10.0, momentum=0.9)
+        assert str(err.value) == "update of b (3,) has 2 non-finite elements, first inf at flat index 1"
+
+
+def _conv(o):
+    return conv2d_forward(o["conv input"], o["conv weights"], o["conv bias"], 1)
+
+
+def _dense(o):
+    return dense_forward(o["dense input"], o["dense weights"], o["dense bias"])
+
+
+# Each operand's shape, and a call of an op that reads it, given every operand by name.
+CAST_OPERANDS = {
+    "conv input": ((2, 3, 4, 4), _conv),
+    "conv weights": ((5, 3, 3, 3), _conv),
+    "conv bias": ((5,), _conv),
+    "conv upstream": ((2, 5, 4, 4), lambda o: conv2d_backward(o["conv input"], o["conv weights"], o["conv upstream"], 1)),
+    "dense input": ((2, 3), _dense),
+    "dense weights": ((3, 4), _dense),
+    "dense bias": ((4,), _dense),
+    "dense upstream": ((2, 4), lambda o: dense_backward(o["dense input"], o["dense weights"], o["dense upstream"])),
+    "pool input": ((2, 3, 4, 4), lambda o: global_avg_pool(o["pool input"])),
+    "pool upstream": ((2, 3), lambda o: global_avg_pool_backward(o["pool upstream"], 4, 4)),
+    "logits": ((2, 4), lambda o: softmax_cross_entropy(o["logits"], np.array([0, 3]))),
+}
+
+
+@pytest.mark.parametrize("name", list(CAST_OPERANDS))
+def test_operand_beyond_float32_is_named(name):
+    """Every op casts a wider float operand to float32 in one place: a finite value beyond
+    float32 raises a DomainError naming the operand and the value as given, under the suite's
+    warning filter, where numpy's cast would warn and then compute on inf. A wider operand
+    inside float32's range passes."""
+    rs = np.random.RandomState(3)
+    operands = {key: rs.uniform(-1, 1, shape).astype(np.float32) for key, (shape, _) in CAST_OPERANDS.items()}
+    shape, call = CAST_OPERANDS[name]
+    wide = operands[name].astype(np.float64)
+    wide.flat[1] = 1e30
+    call({**operands, name: wide})
+    wide.flat[1] = -1e39
+    with pytest.raises(DomainError) as err:
+        call({**operands, name: wide})
+    assert str(err.value) == f"{name} {shape} has 1 elements beyond float32, first -1e+39 at flat index 1"
