@@ -37,6 +37,7 @@ from .experiments import (
     param_hash,
     run_experiment,
     run_grid,
+    train,
 )
 from .kernels import (
     KNOTS,

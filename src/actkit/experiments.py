@@ -1,10 +1,9 @@
-"""Experiment orchestration: activation-placement runs over repeated seeds,
-mean aggregation, wall-time capture, and CSV/JSON report emission.
+"""Experiment orchestration: the training loop (a model in, a new trained model out),
+activation-placement runs over repeated seeds, their means and wall times, and CSV/JSON reports.
 
-Every run is deterministic given (config, platform): model init, batch order,
-and evaluation all draw from one SplitMix64 stream per seed. How modelspec's
-forward and loss_and_gradients cut a batch into chunks, and how many cores and
-BLAS threads there are, never changes the results.
+Every run is deterministic given (config, platform): model init and batch order draw
+from one SplitMix64 stream per seed. How modelspec's forward and loss_and_gradients cut
+a batch into chunks, and how many cores and BLAS threads there are, never changes the results.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .modelspec import (
     record_to_json,
     replace_activations,
 )
-from .tensor import Rng, sgd_momentum_step
+from .tensor import REAL, Rng, sgd_momentum_step
 
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
@@ -52,10 +51,12 @@ class Hyperparams(_Record):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for key, ok, rule in (("lr", self.lr > 0, "> 0"), ("momentum", 0 <= self.momentum < 1, "in [0, 1)")):
-            if not ok:  # a step that ascends, or a velocity that never decays
-                got = getattr(self, key)
-                raise ConfigError(f"malformed {key!r} in Hyperparams: expected a number {rule}, got {got!r}")
+        with np.errstate(over="ignore"):  # SGD steps with the float32 values, so the rules check those
+            lr, mom = REAL(self.lr), REAL(self.momentum)
+        for key, ok, rule in (("lr", 0 < lr < np.inf, "> 0 and finite"), ("momentum", 0 <= mom < 1, "in [0, 1)")):
+            if not ok:  # a step that ascends, overflows or vanishes, or a velocity that never decays
+                why = f"expected a number whose float32 is {rule}, got {getattr(self, key)!r}"
+                raise ConfigError(f"malformed {key!r} in Hyperparams: {why}")
 
 
 @dataclass(frozen=True)
@@ -167,51 +168,49 @@ def evaluate(model: Model, ds: ImageDataset) -> float:
     return int((forward(model, ds.images).argmax(axis=1) == ds.labels).sum()) / len(ds)
 
 
-def _train_single(
-    spec: ModelSpec, train: ImageDataset, test: ImageDataset, hp: Hyperparams, seed: int
-) -> SeedRun:
-    rng = Rng(seed)
-    model = build_model(spec, rng)
-    init_hash = param_hash(model)
-    velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
-    n = len(train)
-
-    last_loss = None
-    start = time.perf_counter()
+def train(model: Model, data: ImageDataset, hp: Hyperparams, rng: Rng) -> Model:
+    """hp.epochs of momentum SGD from the model's parameters, each epoch visiting the data in the
+    order of one rng.uniforms(len(data)) draw. Returns a new Model and leaves the input and its
+    arrays as they are. A DomainError gets "epoch E step K (last loss L): " in front."""
+    params, last_loss = model.params, None
+    velocity = {name: np.zeros_like(p) for name, p in params.items()}
     for epoch in range(1, hp.epochs + 1):
-        order = np.argsort(rng.uniforms(n), kind="stable")
-        for step, lo in enumerate(range(0, n, hp.batch_size), start=1):
+        order = np.argsort(rng.uniforms(len(data)), kind="stable")
+        for step, lo in enumerate(range(0, len(data), hp.batch_size), start=1):
             idx = order[lo : lo + hp.batch_size]
             try:
-                loss, grads = loss_and_gradients(model, train.images[idx], train.labels[idx])
-                model.params, velocity = sgd_momentum_step(model.params, grads, velocity, hp.lr, hp.momentum)
+                loss, grads = loss_and_gradients(Model(model.spec, params), data.images[idx], data.labels[idx])
+                params, velocity = sgd_momentum_step(params, grads, velocity, hp.lr, hp.momentum)
             except DomainError as err:
-                where = f"seed {seed} epoch {epoch} step {step} (last loss {last_loss!r})"
-                raise DomainError(f"{where}: {err}") from err
+                raise DomainError(f"epoch {epoch} step {step} (last loss {last_loss!r}): {err}") from err
             last_loss = loss
-    train_seconds = time.perf_counter() - start
-    return SeedRun(
-        seed=seed,
-        test_accuracy=evaluate(model, test),
-        train_seconds=train_seconds,
-        init_param_hash=init_hash,
-    )
+    return Model(model.spec, params)
 
 
 def run_experiment(
     cfg: ExperimentConfig, data: tuple[ImageDataset, ImageDataset] | None = None
 ) -> ExperimentReport:
-    """Train once per seed on the configured data and aggregate the means.
-
-    `data` short-circuits dataset loading when the caller already holds (train, test).
-    """
+    """Per seed: Rng(seed), build_model, param_hash, train (timed), evaluate; then the means. A
+    DomainError from train gets "seed S " in front and keeps the failing op's error as its cause.
+    `data`, when given, is the (train, test) pair to use instead of loading the configured dataset."""
     spec = apply_surgery(preset(cfg.preset), cfg.surgery)
-    train, test = data if data is not None else load_datasets(cfg.dataset)
-    runs = tuple(_train_single(spec, train, test, cfg.hyperparams, seed) for seed in cfg.seeds)
+    train_set, test_set = data if data is not None else load_datasets(cfg.dataset)
+    runs = []
+    for seed in cfg.seeds:
+        rng = Rng(seed)
+        model = build_model(spec, rng)
+        init_hash = param_hash(model)
+        start = time.perf_counter()
+        try:
+            trained = train(model, train_set, cfg.hyperparams, rng)
+        except DomainError as err:
+            raise DomainError(f"seed {seed} {err}") from err.__cause__
+        seconds = time.perf_counter() - start
+        runs.append(SeedRun(seed, evaluate(trained, test_set), seconds, init_hash))
     return ExperimentReport(
         label=cfg.label,
         preset=cfg.preset,
-        runs=runs,
+        runs=tuple(runs),
         mean_accuracy=sum(r.test_accuracy for r in runs) / len(runs),
         mean_train_seconds=sum(r.train_seconds for r in runs) / len(runs),
         hyperparams=cfg.hyperparams,

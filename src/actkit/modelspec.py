@@ -313,7 +313,7 @@ def fingerprint(spec: ModelSpec) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Model:
     """Parameter tensors for one ModelSpec.
 

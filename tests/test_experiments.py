@@ -5,7 +5,7 @@ kept tiny; the desk-scale learning check lives in the acceptance suite."""
 import json
 import os
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -36,12 +36,16 @@ from actkit import (
     replace_activations,
     run_experiment,
     run_grid,
+    train,
 )
 from actkit import ModelSpec, chunks, experiments, modelspec, record_from_json, record_to_json
 from actkit.experiments import ExperimentReport, SeedRun
 
 HS = ActivationKind.HARDSWISH
 KINDS = "(expected one of: relu, relu6, sigmoid, swish, hardswish)"
+# SGD steps with float32 lr and momentum, so Hyperparams checks its rules on those values.
+LR_RULE = "malformed 'lr' in Hyperparams: expected a number whose float32 is > 0 and finite"
+MOMENTUM_RULE = "malformed 'momentum' in Hyperparams: expected a number whose float32 is in [0, 1)"
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -94,11 +98,14 @@ class TestConfigValidation:
             ("lr", float("nan")),
             ("lr", -0.5),
             ("lr", 0),
+            ("lr", 1e39),
+            ("lr", 1e-46),
             ("momentum", True),
             ("momentum", float("inf")),
             ("momentum", 1.5),
             ("momentum", 1.0),
             ("momentum", -0.1),
+            ("momentum", 0.99999999),
             ("epochs", True),
             ("epochs", 1.0),
             ("batch_size", "32"),
@@ -180,8 +187,11 @@ class TestConfigValidation:
                 json.loads('{"lr": 1' + "0" * 400 + "}"),
                 f"malformed 'lr' in Hyperparams: expected a finite number, got {10**400!r}",
             ),
-            (Hyperparams, {"lr": -0.5}, "malformed 'lr' in Hyperparams: expected a number > 0, got -0.5"),
-            (Hyperparams, {"momentum": 1}, "malformed 'momentum' in Hyperparams: expected a number in [0, 1), got 1"),
+            (Hyperparams, {"lr": -0.5}, f"{LR_RULE}, got -0.5"),
+            (Hyperparams, {"lr": 1e39}, f"{LR_RULE}, got 1e+39"),
+            (Hyperparams, {"lr": 1e-46}, f"{LR_RULE}, got 1e-46"),
+            (Hyperparams, {"momentum": 1}, f"{MOMENTUM_RULE}, got 1"),
+            (Hyperparams, {"momentum": 0.99999999}, f"{MOMENTUM_RULE}, got 0.99999999"),
         ],
         ids=[
             "data-dir-int",
@@ -193,7 +203,10 @@ class TestConfigValidation:
             "block-kind-typo",
             "lr-past-float-range",
             "lr-negative",
+            "lr-inf-in-float32",
+            "lr-zero-in-float32",
             "momentum-one",
+            "momentum-one-in-float32",
         ],
     )
     def test_constructor_checks_fields_as_the_reader_does(self, cls, doc, message):
@@ -292,14 +305,14 @@ class TestRunExperiment:
 
     def test_full_depth_divergence_names_the_pool(self):
         """Full-depth He-init mini-x3d at lr 3e-3 (seed 2, 640 training images) overflows the
-        pool's float32 sum at step 3, with every site's input finite. The step raises a
-        DomainError naming seed, epoch, step and the pool, not a numpy warning or a NaN loss."""
-        spec = preset("mini-x3d", FULL_SCALE_BLOCKS)
-        train, test = gen_synthetic_images(640, seed=0), gen_synthetic_images(8, seed=1)
+        pool's float32 sum at step 3, with every site's input finite. train raises a DomainError
+        naming the epoch, step and the pool, not a numpy warning or a NaN loss."""
+        rng = Rng(2)
+        model = build_model(preset("mini-x3d", FULL_SCALE_BLOCKS), rng)
         with pytest.raises(DomainError) as caught:
-            experiments._train_single(spec, train, test, Hyperparams(lr=3e-3, batch_size=32, epochs=1), seed=2)
+            train(model, gen_synthetic_images(640, seed=0), Hyperparams(lr=3e-3, batch_size=32, epochs=1), rng)
         assert re.match(
-            r"seed 2 epoch 1 step 3 \(last loss [0-9.e+]+\): images 0-15 of 32: pool: features \(16, 32\) "
+            r"epoch 1 step 3 \(last loss [0-9.e+]+\): images 0-15 of 32: pool: features \(16, 32\) "
             r"has 16 non-finite elements, first inf at flat index \d+$",
             str(caught.value),
         ), str(caught.value)
@@ -318,6 +331,48 @@ class TestRunExperiment:
             "seed 3 epoch 1 step 1 (last loss None): update of stem.w (8, 3, 3, 3) has 216 non-finite elements, "
             "first -inf at flat index 0"
         )
+
+
+class TestTrain:
+    """train(model, data, hp, rng) returns a new trained Model and leaves its input as it is,
+    so one model can start any number of runs: the fork that fine-tuning after a swap needs."""
+
+    HP = Hyperparams(batch_size=32, epochs=1)
+
+    def test_input_model_keeps_its_dict_and_arrays(self):
+        model = build_model(preset("mini-x3d"), Rng(1))
+        params, arrays = model.params, dict(model.params)
+        before = {name: p.tobytes() for name, p in params.items()}
+        trained = train(model, gen_synthetic_images(64, seed=2), self.HP, Rng(7))
+        assert model.params is params and list(params) == list(arrays)
+        assert all(params[name] is arrays[name] and params[name].tobytes() == b for name, b in before.items())
+        assert trained.spec is model.spec and trained.params is not params
+        assert param_hash(trained) != param_hash(model)
+
+    def test_same_start_and_seed_give_the_same_bits(self):
+        """Also from an already trained model."""
+        data = gen_synthetic_images(64, seed=2)
+        model = build_model(preset("mini-x3d"), Rng(1))
+        first, again = (train(model, data, self.HP, Rng(7)) for _ in range(2))
+        assert param_hash(first) == param_hash(again)
+        fork, fork_again = (train(first, data, self.HP, Rng(8)) for _ in range(2))
+        assert param_hash(fork) == param_hash(fork_again) != param_hash(first)
+
+    def test_run_experiment_is_build_hash_train_evaluate(self):
+        train_set, test_set = gen_synthetic_images(64, seed=5), gen_synthetic_images(32, seed=6)
+        cfg = tiny_config(preset="mini-x3d", hyperparams=self.HP, seeds=(1, 3))
+        report = run_experiment(cfg, data=(train_set, test_set))
+        assert [run.seed for run in report.runs] == [1, 3]
+        for run in report.runs:
+            rng = Rng(run.seed)
+            model = build_model(preset("mini-x3d"), rng)
+            assert run.init_param_hash == param_hash(model)
+            assert run.test_accuracy == evaluate(train(model, train_set, self.HP, rng), test_set)
+
+    def test_model_is_frozen(self):
+        model = build_model(preset("mini-x3d"), Rng(1))
+        with pytest.raises(FrozenInstanceError):
+            model.params = {}
 
 
 class TestChunkedStep:
@@ -377,7 +432,7 @@ class TestChunkedStep:
         seed = 1
         spec = preset("mini-x3d")
         rng = Rng(seed)
-        build_model(spec, rng)  # _train_single draws the init, then the epoch's order
+        build_model(spec, rng)  # run_experiment draws the init, then train draws the epoch's order
         order = np.argsort(rng.uniforms(64), kind="stable")
         train, test = gen_synthetic_images(64, seed=5), gen_synthetic_images(8, seed=6)
         train.images[order[20], 0, 1, 2] = np.inf

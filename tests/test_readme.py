@@ -18,6 +18,7 @@ def test_python_api_block_runs(capsys):
     assert scope["n_sites"] == 2
     assert json.loads(scope["doc"])["preset"] == "mini-x3d"
     assert set(scope["velocity"]) == set(scope["model"].params)
+    assert scope["tuned"].spec == scope["swapped"] and scope["stepped"].params is not scope["model"].params
     assert "stage2.block1.act_b" in capsys.readouterr().out
 
 
