@@ -20,12 +20,13 @@ PHASE_ROW_SUM_TOL = 1e-3
 @dataclass(frozen=True)
 class ImageDataset:
     """N >= 1 images as float32 (N,3,32,32) in [0,1] plus labels in [0,10), checked and stored
-    as int64 by class_labels."""
+    as int64 by class_labels. The images are stored as np.asarray gives them."""
 
     images: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "images", np.asarray(self.images))
         if self.images.ndim != 4 or self.images.shape[1:] != (3, 32, 32):
             raise ShapeError(f"images must be (N,3,32,32), got {self.images.shape}")
         labels = class_labels(self.labels, len(self), CIFAR_CLASSES, "image labels", "image")
@@ -41,14 +42,15 @@ class ImageDataset:
 class PhaseSequence:
     """Per-frame class probabilities (T,C) with ground-truth labels (T,).
 
-    Rows are probability vectors: nonnegative, summing to 1 within 1e-5. The truth labels
-    are checked and stored as int64 by class_labels.
+    Rows are probability vectors: nonnegative, summing to 1 within 1e-5, stored as np.asarray
+    gives them. The truth labels are checked and stored as int64 by class_labels.
     """
 
     probs: np.ndarray
     truth: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "probs", np.asarray(self.probs))
         if self.probs.ndim != 2 or self.probs.shape[0] < 1 or self.probs.shape[1] < 2:
             raise ShapeError(f"probs must be (T>=1, C>=2), got {self.probs.shape}")
         truth = class_labels(self.truth, self.num_frames, self.num_classes, "truth labels", "frame")

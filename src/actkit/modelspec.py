@@ -441,9 +441,8 @@ def loss_and_gradients(
         share = (hi - lo) / n
         loss += share * part_loss
         for name, g in part_grads.items():
-            g *= np.float32(share)
-            if grads.setdefault(name, g) is not g:  # later chunks add into the first chunk's array
-                grads[name] += g
+            term = np.float32(share) * g
+            grads[name] = np.add(grads[name], term) if name in grads else term
     return loss, grads
 
 
@@ -453,8 +452,6 @@ def _loss_and_gradients_pass(
     """Mean cross-entropy loss and exact parameter gradients for one batch, in one pass."""
     logits, (x, z_stem, blocks, feats, last_shape) = _forward_internal(model, batch, record=True)
     loss, g_logits = softmax_cross_entropy(logits, labels)
-    if not math.isfinite(loss):
-        raise DomainError(f"loss: cross-entropy {loss} over {batch.shape[0]} images is not finite")
     p = model.params
     grads: dict[str, np.ndarray] = {}
 

@@ -53,36 +53,21 @@ class Rng:
         return (self.next_uint64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
-        """The next n draws as a float64 array, bit-equal to n next_uniform() calls.
-
-        Draws are made _UNIFORM_BLOCK at a time, so a block's dozen passes stay in cache. A
-        block's words move between its slice of the result and two scratch arrays of
-        min(n, _UNIFORM_BLOCK) words: a call holds its result plus at most 2 x 256 KB, and
-        takes ~6 ns per draw at 2^20 draws. No op writes an array it reads: numpy's overlap
-        check for that costs ~0.5 us per op, which small calls would pay."""
+        """The next n draws as a float64 array, bit-equal to n next_uniform() calls. Draws are
+        made _UNIFORM_BLOCK at a time, so a block's passes stay in cache and a call holds its
+        result plus a few block-sized temporaries."""
         if n < 0:
             raise DomainError(f"draw count must be nonnegative, got {n}")
         out = np.empty(n, dtype=np.float64)
-        words = out.view(np.uint64)
-        z = np.empty(min(n, _UNIFORM_BLOCK), dtype=np.uint64)
-        t = np.empty(z.size, dtype=np.uint64)
         for lo in range(0, n, _UNIFORM_BLOCK):
-            m = min(n - lo, _UNIFORM_BLOCK)
-            w = words[lo : lo + m]
-            if m < z.size:  # the last of several blocks
-                z, t = z[:m], t[:m]
-            np.add(_GOLDEN_STEPS[:m], np.uint64(self._state), w)  # the state after each draw
-            self._state = (self._state + m * _SM64_GOLDEN) & _MASK64
-            np.right_shift(w, _U30, t)
-            np.bitwise_xor(w, t, z)
-            np.multiply(z, _U_MIX1, w)
-            np.right_shift(w, _U27, t)
-            np.bitwise_xor(w, t, z)
-            np.multiply(z, _U_MIX2, w)
-            np.right_shift(w, _U31, t)
-            np.bitwise_xor(w, t, z)
-            np.right_shift(z, _U11, t)
-            np.multiply(t, 2.0**-53, out[lo : lo + m])
+            z = _GOLDEN_STEPS[: n - lo] + np.uint64(self._state)  # the state after each draw
+            self._state = (self._state + z.size * _SM64_GOLDEN) & _MASK64
+            z ^= z >> _U30
+            z *= _U_MIX1
+            z ^= z >> _U27
+            z *= _U_MIX2
+            z ^= z >> _U31
+            np.multiply(z >> _U11, 2.0**-53, out[lo : lo + z.size])
         return out
 
 
@@ -136,6 +121,10 @@ def _finite(what: str, a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_integer(value: object) -> bool:  # a stride's or pool size's type: a Python or numpy int, no bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # Bytes of patch matrix that conv2d_forward builds per batch slice: about one core's L2.
 _SLICE_PATCH_BYTES = 2 << 20
 
@@ -143,7 +132,7 @@ _SLICE_PATCH_BYTES = 2 << 20
 def _conv_operands(x: np.ndarray, weights: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     """The conv rules both directions share: x NCHW with channels, height and width >= 1 (a
     batch of zero images is fine), weights (out_ch >= 1, in_ch, K, K) with K odd and in_ch
-    matching x, stride >= 1. Returns float32 x and weights and the output's Ho, Wo."""
+    matching x, stride an integer >= 1. Returns float32 x and weights and the output's Ho, Wo."""
     x = _as_real(x, 4, "conv input")
     w = _as_real(weights, 4, "conv weights")
     _, c, h, wid = x.shape
@@ -156,6 +145,8 @@ def _conv_operands(x: np.ndarray, weights: np.ndarray, stride: int) -> tuple[np.
         raise ShapeError(f"conv input needs channels, height and width >= 1, got shape {x.shape}")
     if o == 0:
         raise ShapeError(f"conv weights need output channels >= 1, got shape {w.shape}")
+    if not _is_integer(stride):
+        raise DomainError(f"stride must be an integer, got {stride!r}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
     return x, w, -(-h // stride), -(-wid // stride)
@@ -310,16 +301,18 @@ def dense_backward(
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Mean over the spatial dims: NCHW -> (N, C), summed in C order whatever x's layout."""
+    """Mean over the spatial dims (each >= 1): NCHW -> (N, C), summed in C order whatever x's layout."""
     # A C-order copy's mean: the NHWC mean saves only ~10-20 us a call, and changes bits.
     x = np.ascontiguousarray(_as_real(x, 4, "pool input"))
+    if 0 in x.shape[2:]:
+        raise ShapeError(f"pool input needs height and width >= 1, got shape {x.shape}")
     return np.ascontiguousarray(x.mean(axis=(2, 3), dtype=REAL))
 
 
 def global_avg_pool_backward(upstream: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Spread each (N, C) gradient uniformly over height x width positions, channels-last."""
+    """Spread each (N, C) gradient uniformly over height x width positions (integers >= 1), channels-last."""
     up = _as_real(upstream, 2, "pool upstream")
-    if height < 1 or width < 1:
+    if not (_is_integer(height) and _is_integer(width)) or height < 1 or width < 1:
         raise ShapeError(f"bad spatial dims {height}x{width}")
     scale = REAL(1.0 / (height * width))
     n, c = up.shape
@@ -356,16 +349,23 @@ def class_labels(labels: np.ndarray, n: int, c: int, what: str = "labels", unit:
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy with max-subtraction, plus grad = (softmax - onehot) / N.
-    The labels are checked by class_labels."""
+    """Mean cross-entropy with max-subtraction, plus grad = (softmax - onehot) / N. The labels are
+    checked by class_labels; a DomainError names logits with no rows or a non-finite element, and a
+    non-finite loss (from finite logits whose row spread passes float32's range)."""
     z = _as_real(logits, 2, "logits")
     n, c = z.shape
+    if n == 0:
+        raise DomainError(f"cross-entropy needs at least one row of logits, got shape {z.shape}")
     y = class_labels(labels, n, c)
-    zs = z - z.max(axis=1, keepdims=True)
+    _finite("logits", z)
+    with np.errstate(over="ignore"):  # a spread past float32 gives an infinite loss, named below
+        zs = z - z.max(axis=1, keepdims=True)
     ez = np.exp(zs)
     denom = ez.sum(axis=1, keepdims=True)
     # log-sum-exp form: denom >= 1 because the row max maps to exp(0)
     loss = float(np.mean(np.log(denom[:, 0]) - zs[np.arange(n), y], dtype=np.float64))
+    if not math.isfinite(loss):
+        raise DomainError(f"loss: cross-entropy {loss} over {n} images is not finite")
     grad = ez / denom
     grad[np.arange(n), y] -= REAL(1.0)
     grad /= REAL(n)

@@ -456,6 +456,17 @@ class TestDatasetTypes:
         ds = ImageDataset(np.zeros((2, 3, 32, 32), dtype=np.float32), np.array([0.0, 9.0]))
         assert len(ds) == 2 and ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 9]
 
+    def test_images_from_nested_lists(self):
+        """Images given as Python lists are stored as an array under the same rules; an array
+        keeps its dtype."""
+        images = np.full((1, 3, 32, 32), 0.25, dtype=np.float32)
+        ds = ImageDataset(images.tolist(), [0])
+        assert isinstance(ds.images, np.ndarray) and ds.images.shape == (1, 3, 32, 32)
+        assert ds.images.dtype == np.float64 and ds.labels.tolist() == [0]
+        assert ImageDataset(images, [0]).images is images
+        with pytest.raises(ShapeError, match=re.escape("images must be (N,3,32,32), got (1, 3, 32)")):
+            ImageDataset([images[0, :, 0].tolist()], [0])
+
     def test_phase_rows_must_be_stochastic(self):
         probs = np.full((4, 5), 0.3)
         with pytest.raises(Exception):
@@ -484,3 +495,14 @@ class TestDatasetTypes:
     def test_phase_truth_integer_valued_floats_accepted(self):
         seq = PhaseSequence(np.full((2, 2), 0.5), np.array([0.0, 1.0]))
         assert seq.num_frames == 2 and seq.truth.dtype == np.int64 and seq.truth.tolist() == [0, 1]
+
+    def test_phase_probs_from_lists(self):
+        """Probabilities given as Python lists are stored as an array under the same rules; an
+        array keeps its dtype."""
+        seq = PhaseSequence([[0.5, 0.5]], [0])
+        assert isinstance(seq.probs, np.ndarray) and seq.probs.dtype == np.float64
+        assert seq.num_frames == 1 and seq.num_classes == 2 and seq.truth.tolist() == [0]
+        probs = np.full((1, 2), 0.5, dtype=np.float32)
+        assert PhaseSequence(probs, [1]).probs is probs
+        with pytest.raises(DomainError, match="^probability rows must sum to 1 within 1e-5$"):
+            PhaseSequence([[0.5, 0.4]], [0])

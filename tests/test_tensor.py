@@ -129,8 +129,8 @@ class TestRng:
         assert split.next_uint64() == whole.next_uint64()
 
     def test_large_call_holds_result_plus_block_scratch(self):
-        """A 2^20-draw call holds its 8 MiB result and two block-sized scratch arrays;
-        numpy reports its buffers to tracemalloc."""
+        """A 2^20-draw call holds its 8 MiB result and a few block-sized temporaries (~577 KiB
+        beyond the result); numpy reports its buffers to tracemalloc."""
         n = 1 << 20
         tracemalloc.start()
         try:
@@ -298,7 +298,8 @@ class TestConv2d:
 
     def test_shape_validation(self):
         """The backward rejects every operand the forward rejects, with the forward's error,
-        given an upstream shaped as the stride-1 output."""
+        given an upstream shaped as the stride-1 output. A float, bool or string stride is
+        named, rather than raising numpy's TypeError or running as stride 1."""
         x = np.zeros((1, 3, 4, 4), dtype=np.float32)
         b2, up = np.zeros(2, dtype=np.float32), np.zeros((1, 2, 4, 4), dtype=np.float32)
         with pytest.raises(ShapeError):  # bias length
@@ -309,6 +310,10 @@ class TestConv2d:
             ((2, 4, 3, 3), 1, ShapeError, "weight input channels 4 != input channels 3"),
             ((2, 3, 3, 3), 0, DomainError, "stride must be >= 1, got 0"),
             ((2, 3, 3, 3), -1, DomainError, "stride must be >= 1, got -1"),
+            ((2, 3, 3, 3), 1.5, DomainError, "stride must be an integer, got 1.5"),
+            ((2, 3, 3, 3), 2.0, DomainError, "stride must be an integer, got 2.0"),
+            ((2, 3, 3, 3), True, DomainError, "stride must be an integer, got True"),
+            ((2, 3, 3, 3), "2", DomainError, "stride must be an integer, got '2'"),
         ]
         for w_shape, stride, error, message in cases:
             w = np.zeros(w_shape, dtype=np.float32)
@@ -323,6 +328,18 @@ class TestConv2d:
         ]:
             with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
                 conv2d_backward(x, w, bad_up, stride=1)
+
+    def test_numpy_integer_stride_accepted(self):
+        rs = np.random.RandomState(61)
+        x = rs.uniform(-1, 1, (2, 3, 5, 5)).astype(np.float32)
+        w = rs.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32)
+        b = rs.uniform(-1, 1, 4).astype(np.float32)
+        out = conv2d_forward(x, w, b, stride=np.int64(2))
+        assert out.tobytes() == conv2d_forward(x, w, b, stride=2).tobytes()
+        up = rs.uniform(-1, 1, out.shape).astype(np.float32)
+        got = conv2d_backward(x, w, up, stride=np.int32(2))
+        want = conv2d_backward(x, w, up, stride=2)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
     @pytest.mark.parametrize(
         "x_shape, w_shape",
@@ -536,6 +553,29 @@ class TestGlobalAvgPool:
         with pytest.raises(ShapeError, match="^bad spatial dims 0x4$"):
             global_avg_pool_backward(up, 0, 4)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 0, 4), (2, 3, 4, 0)], ids=["no-rows", "no-columns"])
+    def test_empty_spatial_dims_rejected(self, shape):
+        """No mean over zero positions: a ShapeError names the shape, as conv's does."""
+        message = f"pool input needs height and width >= 1, got shape {shape}"
+        for layout in LAYOUTS.values():
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                global_avg_pool(layout(np.zeros(shape, dtype=np.float32)))
+
+    def test_empty_batch_and_channels(self):
+        assert global_avg_pool(np.zeros((0, 3, 2, 2), dtype=np.float32)).shape == (0, 3)
+        assert global_avg_pool(np.zeros((2, 0, 2, 2), dtype=np.float32)).shape == (2, 0)
+
+    @pytest.mark.parametrize("height, width", [(2.5, 2), (2, 2.0), (True, 2), (2, False), (3, -1)])
+    def test_backward_sizes_must_be_integers_ge_1(self, height, width):
+        up = np.ones((1, 2), dtype=np.float32)
+        with pytest.raises(ShapeError, match=f"^{re.escape(f'bad spatial dims {height}x{width}')}$"):
+            global_avg_pool_backward(up, height, width)
+
+    def test_backward_numpy_integer_sizes_accepted(self):
+        up = np.random.RandomState(67).uniform(-1, 1, (2, 3)).astype(np.float32)
+        got = global_avg_pool_backward(up, np.int64(3), np.int32(2))
+        assert got.tobytes() == global_avg_pool_backward(up, 3, 2).tobytes()
+
 
 class TestSoftmaxCrossEntropy:
     """Stable log-sum-exp loss and its exact gradient."""
@@ -602,6 +642,36 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(DomainError) as err:
             softmax_cross_entropy(np.zeros((2, 3), dtype=np.float32), np.array(labels))
         assert str(err.value) == f"labels must be integers, {message}"
+
+    def test_no_rows_rejected(self):
+        """No mean over zero rows, and so no NaN loss."""
+        message = "cross-entropy needs at least one row of logits, got shape (0, 3)"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            softmax_cross_entropy(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "logits (2, 3) has 1 non-finite elements, first nan at flat index 4"),
+            (np.inf, "logits (2, 3) has 1 non-finite elements, first inf at flat index 4"),
+            (-np.inf, "logits (2, 3) has 1 non-finite elements, first -inf at flat index 4"),
+        ],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_logit_rejected(self, bad, message):
+        logits = np.zeros((2, 3), dtype=np.float32)
+        logits[1, 1] = bad
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            softmax_cross_entropy(logits, np.array([0, 2]))
+
+    def test_loss_beyond_float32_spread_rejected(self):
+        """Finite logits whose row spread passes float32's range give an infinite loss, named by
+        the op without a numpy warning."""
+        logits = np.array([[3e38, -3e38]], dtype=np.float32)
+        with pytest.raises(DomainError, match=r"^loss: cross-entropy inf over 1 images is not finite$"):
+            softmax_cross_entropy(logits, np.array([1]))
+        loss, grad = softmax_cross_entropy(logits, np.array([0]))
+        assert loss == 0.0 and grad.tolist() == [[0.0, 0.0]]
 
     def test_integer_valued_float_labels_accepted(self):
         logits = np.random.RandomState(59).uniform(-2, 2, (2, 3)).astype(np.float32)

@@ -5,12 +5,15 @@
 It imports actkit from this checkout's src/, so running the same script in two checkouts on
 one machine and diffing the two outputs shows whether a change moved any bit of:
 
+- Rng(seed).uniforms(n), and the next_uint64() after it, for seeds 1 and 2^64 - 1 at n = 0, 1,
+  2^15 - 1, 2^15, 2^15 + 1, 3 * 2^15 + 7 and 10^6 + 3 (around and across the draw blocks);
 - the full-depth (3,5,11,7) mini-x3d logits of perfbench's infer-x3d-full model (middle sites
   -> hardswish) for seeds 1 and 3, on the first 256, 40 and 1 of its images;
 - loss_and_gradients of both presets on 48, 20 and 1 images (one pass and chunked);
 - the five grid-x3d cells (baseline, initial, middle, last, all -> hardswish) for seeds 1 and 3
   at that workload's sizes: fingerprints, init hashes, accuracies, and each cell's trained
-  parameters, hashed as evaluate receives them;
+  parameters, from the chain run_experiment runs per seed (build_model, param_hash, train,
+  evaluate);
 - every kernel's forward and backward on 2^21 + 77 elements in C order, and on a channels-last
   (3, 13, 229, 235) array (2098785 elements) with a channels-last and a C-order upstream.
 
@@ -27,7 +30,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import actkit as ak  # noqa: E402
-from actkit import experiments  # noqa: E402
 
 HARDSWISH = ak.ActivationKind.HARDSWISH
 
@@ -42,6 +44,13 @@ def emit(name: str, *parts) -> None:
 def uniforms(seed: int, n: int, lo: float, hi: float):
     """n float32 draws in [lo, hi) from actkit's Rng."""
     return (ak.Rng(seed).uniforms(n) * (hi - lo) + lo).astype("float32")
+
+
+def rng() -> None:
+    for seed in (1, 2**64 - 1):
+        for n in (0, 1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7, 10**6 + 3):
+            stream = ak.Rng(seed)
+            emit(f"rng/seed{seed}/n{n}", stream.uniforms(n), stream.next_uint64())
 
 
 def logits() -> None:
@@ -64,34 +73,26 @@ def gradients() -> None:
 
 
 def grid() -> None:
-    trained = []
-    evaluate = experiments.evaluate
-
-    def catch(model, ds):
-        trained.append(experiments.param_hash(model))
-        return evaluate(model, ds)
-
-    experiments.evaluate = catch
-    try:
-        for seed in (1, 3):
-            cfg = ak.ExperimentConfig(
-                preset="mini-x3d",
-                dataset=ak.DataConfig("synthetic-images", train_size=320, test_size=32, subset_seed=seed),
-                hyperparams=ak.Hyperparams(lr=0.01, momentum=0.9, batch_size=32, epochs=1),
-                seeds=(seed,),
-            )
-            placements = [ak.GroupSelector(p) for p in ("initial", "middle", "last", "all")]
-            trained.clear()
-            reports = ak.run_grid(cfg, placements, HARDSWISH)
-            for report, params in zip(reports, trained, strict=True):
-                (run,) = report.runs
-                cell = f"grid/seed{seed}/{report.label}"
-                emit(f"{cell}/fingerprint", report.spec_fingerprint)
-                emit(f"{cell}/init-hash", run.init_param_hash)
-                emit(f"{cell}/accuracy", run.test_accuracy)
-                emit(f"{cell}/trained-hash", params)
-    finally:
-        experiments.evaluate = evaluate
+    hp = ak.Hyperparams(lr=0.01, momentum=0.9, batch_size=32, epochs=1)
+    base = ak.preset("mini-x3d")
+    cells = [("baseline", base)] + [
+        (f"{p}->{HARDSWISH.value}", ak.replace_activations(base, ak.GroupSelector(p), None, HARDSWISH)[0])
+        for p in ("initial", "middle", "last", "all")
+    ]
+    for seed in (1, 3):
+        train_set, test_set = ak.load_datasets(
+            ak.DataConfig("synthetic-images", train_size=320, test_size=32, subset_seed=seed)
+        )
+        for label, spec in cells:
+            stream = ak.Rng(seed)  # build_model draws first, then train: run_experiment's order
+            model = ak.build_model(spec, stream)
+            init_hash = ak.param_hash(model)
+            trained = ak.train(model, train_set, hp, stream)
+            cell = f"grid/seed{seed}/{label}"
+            emit(f"{cell}/fingerprint", ak.fingerprint(spec))
+            emit(f"{cell}/init-hash", init_hash)
+            emit(f"{cell}/accuracy", ak.evaluate(trained, test_set))
+            emit(f"{cell}/trained-hash", ak.param_hash(trained))
 
 
 def kernels() -> None:
@@ -112,6 +113,7 @@ def kernels() -> None:
 
 
 def main() -> None:
+    rng()
     kernels()
     logits()
     gradients()
